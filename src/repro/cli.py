@@ -156,23 +156,26 @@ def _finish_flight(
     flight.close()
 
 
-def _print_pipeline_diagnostics(runs: dict[str, t.Any]) -> None:
-    """Substrate counters for the pipeline runs (suite output)."""
+def _print_pipeline_diagnostics(runs: dict[str, t.Any], fast: bool) -> None:
+    """Substrate counters for the pipeline runs (suite output); fast mode
+    adds the fast-forward jumps and the share of frames they skipped."""
     rows = []
     for label in runs:
         p = runs[label].pipeline
         if p is None:
             continue
-        rows.append(
-            {
-                "label": label,
-                "events": p.events_processed,
-                "link_tx": p.total_link_transactions,
-                "link_MB": p.total_link_bytes / 1e6,
-                "stalls": sum(p.stage_stalls.values()),
-                "level_switches": sum(p.level_switches.values()),
-            }
-        )
+        row = {
+            "label": label,
+            "events": p.events_processed,
+            "link_tx": p.total_link_transactions,
+            "link_MB": p.total_link_bytes / 1e6,
+            "stalls": sum(p.stage_stalls.values()),
+            "level_switches": sum(p.level_switches.values()),
+        }
+        if fast:
+            row["ff_jumps"] = p.ff_jumps
+            row["ff_coverage"] = f"{p.ff_coverage:.3f}"
+        rows.append(row)
     if rows:
         print()
         print(format_table(rows, float_fmt=".1f", title="pipeline diagnostics"))
@@ -209,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows, title="experiment results"))
-    _print_pipeline_diagnostics(runs)
+    _print_pipeline_diagnostics(runs, fast=_mode(args) == "fast")
     cache = sweep["cache"]
     if cache is not None and (cache.hits or cache.misses):
         print(f"\ncache: {cache.hits} hit(s), {cache.misses} miss(es) "

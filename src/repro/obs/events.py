@@ -36,9 +36,10 @@ kind                   emitted by
 =====================  ====================================================
 
 ``ff.epoch`` is the coalesced record of one fast-forward jump
-(``mode="fast"`` runs only): the frames, periods, per-node drain, and
-per-sender link busy time that analytic epoch skipping removed from the
-event-by-event stream. Monitors in :mod:`repro.obs.checks` fold these
+(``mode="fast"`` runs only): the frames (and, for pipelines, the range
+``first_frame..last_frame`` of frame ids they stand for), periods,
+per-node drain, and per-sender link busy time that analytic epoch
+skipping removed from the event-by-event stream. Monitors in :mod:`repro.obs.checks` fold these
 back into their counts so verdicts stay well-defined in fast mode.
 """
 

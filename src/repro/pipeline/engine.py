@@ -265,7 +265,8 @@ class PipelineResult:
     frames_completed:
         Results delivered to the host (the paper's F).
     result_times_s:
-        Delivery timestamp of each result (capped at ``keep_result_times``).
+        Delivery timestamp of each result (capped at ``keep_result_times``;
+        a fast-forward jump fills in the deliveries it skips).
     end_time_s:
         Simulated time the watchdog ended the run.
     end_reason:
@@ -324,6 +325,13 @@ class PipelineResult:
     ff_jumps: int = 0
     #: Frames advanced analytically inside those jumps.
     ff_frames_skipped: int = 0
+
+    @property
+    def ff_coverage(self) -> float:
+        """Share of the delivered frames that fast-forward skipped."""
+        if not self.frames_completed:
+            return 0.0
+        return self.ff_frames_skipped / self.frames_completed
 
     @property
     def total_link_transactions(self) -> int:
@@ -730,7 +738,7 @@ class PipelineEngine:
             # to anchor periodicity detection (and, when two windows
             # match, to warp from — the draw logs and battery states
             # are exactly aligned here by construction).
-            self._ff.on_result()
+            self._ff.on_result(frame.id)
 
     def _watchdog(self) -> t.Generator:
         """End the run on death-of-all, stall, or horizon."""

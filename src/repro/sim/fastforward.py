@@ -7,30 +7,40 @@ thousands of times, changing nothing but the battery state. This module
 detects that steady state and skips whole epochs of it analytically:
 
 1. **Detection.** Frame deliveries at the host sink anchor the period.
-   Every P results (P = 1, or ``n_stages * rotation.period`` under
-   §5.5 rotation, whose *system* state only recurs once every node has
-   held every role) the controller snapshots every counter and the
+   Every P results (P = 1: the state recurs every frame while each
+   node keeps its role) the controller snapshots every counter and the
    per-node battery-draw logs. Two consecutive windows that match —
    identical ``(current, dt, mode, bucket)`` draw sequences per node,
    identical counter deltas, equal anchor spacing — mean the system
    state is periodic: the next period will replay the last one exactly.
+   Under §5.5 rotation each *epoch* (the frames between two handoffs,
+   during which every node keeps one role) is searched on its own, and
+   detection starts again after each handoff. Only a rotation period
+   too short for within-epoch jumps to pay falls back to P =
+   ``n_stages * rotation.period``, the full cycle after which every
+   node holds its original role again.
 2. **The jump.** ``n`` periods are advanced at once: each battery
    through :meth:`KiBaM.advance_cycles
    <repro.hw.battery.kibam.KiBaM.advance_cycles>` (an O(log n) affine
    map power over the recorded cycle), every counter arithmetically,
-   and the pending event schedule rigidly via :meth:`Simulator.warp
-   <repro.sim.kernel.Simulator.warp>`. Because the recorded window ends
-   exactly at the current draw-log position, the cycle is phase-aligned
-   with the lazily-integrated battery state — no cyclic-shift error.
+   the pending event schedule rigidly via :meth:`Simulator.warp
+   <repro.sim.kernel.Simulator.warp>`, and the frames in flight by
+   emission time *and* id, so each stands where its exact-run
+   counterpart would. Because the recorded window ends exactly at the
+   current draw-log position, the cycle is phase-aligned with the
+   lazily-integrated battery state — no cyclic-shift error.
 3. **Re-synchronization.** ``n`` is capped so the jump can never
    overshoot a boundary that breaks periodicity: battery death (a
    margin of whole cycles below ``available_mas / drain``, which also
-   satisfies the ``advance_cycles`` safety precondition), ``max_frames``
-   and the horizon. Everything else that breaks periodicity — DVS
-   policy switches, rotation epochs (folded into P), recovery
-   migrations and timeouts — simply makes consecutive windows differ,
-   so the run stays event-exact through the transition and the detector
-   re-arms afterwards (e.g. for a recovery survivor's new steady state).
+   satisfies the ``advance_cycles`` safety precondition), ``max_frames``,
+   the horizon, and the next rotation handoff (no frame from the oldest
+   in flight to ``n_stages`` past the last one in flight after the jump
+   may be a rotation frame for any role, so every handoff and the few
+   frames around it run event by event). Everything else that breaks
+   periodicity — DVS policy switches, recovery migrations and
+   timeouts — simply makes consecutive windows differ, so the run stays
+   event-exact through the transition and the detector re-arms
+   afterwards (e.g. for a recovery survivor's new steady state).
 
 Runs whose timing or workload is stochastic never detect a period (the
 windows never match), so ``mode="fast"`` degrades gracefully to exact
@@ -40,15 +50,16 @@ because skipping frames would desynchronize the stream even if the
 drawn values happened to repeat.
 
 Each jump is reported as one coalesced ``ff.epoch`` telemetry event
-(frames, periods, span, per-node drain, per-direction link busy time)
-so event-log digests and the invariant monitors in
-:mod:`repro.obs.checks` stay well-defined in fast mode.
+(frames and the ids they stand for, periods, span, per-node drain,
+per-direction link busy time) so event-log digests and the invariant
+monitors in :mod:`repro.obs.checks` stay well-defined in fast mode.
 """
 
 from __future__ import annotations
 
 import typing as t
 from collections import deque
+from itertools import islice
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.engine import PipelineEngine
@@ -93,10 +104,25 @@ class FastForwardController:
         self.sim = engine.sim
         cfg = engine.config
         rot = cfg.rotation
-        #: Frames per candidate period: the system state recurs every
-        #: frame normally, but only every full rotation cycle under
-        #: §5.5 (each node must return to its original role).
-        self.period_frames = rot.period * rot.n_stages if rot is not None else 1
+        #: Frames per candidate period: one, with each rotation epoch
+        #: searched on its own and the coming handoff capping the jump
+        #: (``_rotation``), unless the rotation period is too short.
+        self.period_frames = 1
+        self._rotation = None
+        if rot is not None:
+            # Each epoch leaves about 3 * n_stages + 3 frames exact: the
+            # handoff frames, up to n_stages + 1 in flight, the cap's
+            # margin past them, and two deliveries that confirm the new
+            # steady state. When that is over a quarter of the period,
+            # the full rotation cycle skips more, as its cost is a few
+            # cycles per jump rather than a share of the run: at period
+            # 25 with two stages it simulates 3,067 of the 30,667 frames
+            # of a full-battery run exactly, against 11,059 epoch by
+            # epoch.
+            if rot.period >= 4 * (3 * rot.n_stages + 3):
+                self._rotation = rot
+            else:
+                self.period_frames = rot.period * rot.n_stages
         self.enabled = (
             cfg.workload is None
             and _timing_is_deterministic(cfg.timing)
@@ -124,6 +150,9 @@ class FastForwardController:
         self._base: dict[str, int] = {}
         self._anchors: deque = deque(maxlen=3)
         self._next_anchor = 0
+        #: Id of the oldest frame in flight as of the last anchor: the
+        #: next result an exact run would deliver.
+        self._next_id = 0
 
     # -- installation ------------------------------------------------------
     def install(self) -> bool:
@@ -139,10 +168,11 @@ class FastForwardController:
         return True
 
     # -- detection ---------------------------------------------------------
-    def on_result(self) -> None:
+    def on_result(self, frame_id: int) -> None:
         """Engine hook: called after every delivered result."""
         if self.engine.results_count < self._next_anchor:
             return
+        self._next_id = frame_id + 1
         self._take_anchor()
         self._next_anchor = self.engine.results_count + self.period_frames
         if len(self._anchors) == 3:
@@ -238,6 +268,7 @@ class FastForwardController:
         self,
         period_s: float,
         frames_per_period: int,
+        ids_per_period: int,
         cycles: dict[str, list[tuple[float, float, str, str]]],
     ) -> int:
         """Largest number of periods the jump may safely skip."""
@@ -260,6 +291,16 @@ class FastForwardController:
         if cfg.max_frames is not None:
             n = min(n, (cfg.max_frames - eng.results_count - 1) // frames_per_period)
         n = min(n, int((cfg.horizon_s - self.sim.now) / period_s) - 1)
+        rot = self._rotation
+        if rot is not None:
+            # No frame from the oldest in flight to n_stages past the
+            # last one in flight after the jump may be a rotation frame
+            # for any role. Role r turns on frame k*period - 1 - r, so
+            # that holds while last + 2*n_stages stays below the next
+            # multiple of the period above the oldest frame.
+            boundary = (self._next_id // rot.period + 1) * rot.period
+            room = boundary - 2 * rot.n_stages - 1 - eng._frame_seq
+            n = min(n, room // max(ids_per_period, 1))
         return max(n, 0)
 
     def _jump(
@@ -269,7 +310,7 @@ class FastForwardController:
         delta: tuple,
         cycles: dict[str, list[tuple[float, float, str, str]]],
     ) -> None:
-        n = self._epoch_budget(period_s, frames_per_period, cycles)
+        n = self._epoch_budget(period_s, frames_per_period, delta[0], cycles)
         if n < self.MIN_EPOCHS:
             return
         eng = self.engine
@@ -310,15 +351,29 @@ class FastForwardController:
                 for cur, dt, mode, bucket in cycles[name]:
                     ledger.add_charge(name, mode, bucket, cur * dt * n, dt * n)
 
+        times = eng.result_times
+        if len(times) == eng.results_count < eng.keep_result_times:
+            # The skipped deliveries repeat the last window's, one
+            # period later each time.
+            window = times[-frames_per_period:]
+            skipped = (ts + k * period_s for k in range(1, n + 1) for ts in window)
+            times.extend(islice(skipped, eng.keep_result_times - len(times)))
+
+        shift = n * delta[0]
         eng.results_count += n * frames_per_period
-        eng._frame_seq += n * delta[0]
+        eng._frame_seq += shift
         eng.late_results += n * delta[1]
         eng._next_emit += span
         eng._last_progress += span
         eng._prev_result_s += span
-        if eng._live_frames:
-            for frame in eng._live_frames.values():
+        live = eng._live_frames
+        if live:
+            # Frames in flight now stand where the frames `shift` ids
+            # later would stand in an exact run.
+            for frame in live.values():
                 frame.emitted_s += span
+                frame.id += shift
+            eng._live_frames = {frame.id: frame for frame in live.values()}
 
         nn = self._n_nodes
         for i, (name, node) in enumerate(self._node_list):
@@ -342,6 +397,8 @@ class FastForwardController:
                 frames=n * frames_per_period,
                 periods=n,
                 period_s=period_s,
+                first_frame=self._next_id,
+                last_frame=self._next_id + shift - 1,
                 t0=t_before,
                 t1=sim.now,
                 late=n * delta[1],

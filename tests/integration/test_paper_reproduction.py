@@ -5,16 +5,25 @@ per experiment — and assert the *shape* of the paper's results: who
 wins, approximate factors, and where the orderings fall. Absolute
 tolerances reflect that our substrate is a calibrated simulator, not
 the authors' testbed (see EXPERIMENTS.md).
+
+The suite runs in fast mode, which delivers the same frames as exact
+simulation; ``TestExactIdentity`` checks that on 2C, the rotation run,
+and the tier-2 ``TestFullScaleIdentity`` in tests/sim checks all eight.
 """
 
 import pytest
 
-from repro.core.experiments import run_paper_suite, summarize_runs
+from repro.core.experiments import (
+    PAPER_EXPERIMENTS,
+    run_experiment,
+    run_paper_suite,
+    summarize_runs,
+)
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return run_paper_suite()  # all eight experiments, paper battery
+    return run_paper_suite(mode="fast")  # all eight experiments, paper battery
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +163,13 @@ class TestThroughputConstraint:
     def test_mean_result_period_is_d(self, runs, label):
         period = runs[label].pipeline.mean_result_period_s()
         assert period == pytest.approx(2.3, rel=1e-3)
+
+
+class TestExactIdentity:
+    """Fast mode stands in for exact simulation in the fixture above."""
+
+    def test_2c_exact_matches_fast(self, runs):
+        exact = run_experiment(PAPER_EXPERIMENTS["2C"], mode="exact")
+        fast = runs["2C"]
+        assert fast.frames == exact.frames
+        assert fast.t_hours == pytest.approx(exact.t_hours, rel=1e-9)

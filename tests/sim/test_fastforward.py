@@ -5,11 +5,19 @@ both modes finish in well under a second each; the contract checked is
 the one the engine promises — identical frame counts, lifetimes within
 0.1%, counters advanced arithmetically to the same totals — plus the
 gating rules (stochastic timing never jumps, tracing refuses fast
-mode) and the cache/registry aliasing guarantees. The full-scale
-eight-experiment identity run is tier2 (``-m tier2``).
+mode) and the cache/registry aliasing guarantees. A table over policy
+x cut x rotation period holds fast mode to exact frames and lifetimes
+within 1e-9 on a small cell, and full-scale 2C's jump counters are
+pinned. The full-scale eight-experiment identity run is tier2
+(``-m tier2``).
 """
 
 from __future__ import annotations
+
+import dataclasses
+import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +29,7 @@ from repro.core.experiments import (
 )
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
+from repro.explore import POLICY_FAMILIES, ExploreConfig
 from repro.hw.link import TransactionTiming
 
 from tests.conftest import tiny_battery_factory
@@ -38,6 +47,16 @@ def _pair(label: str, **kwargs):
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), 1e-12)
+
+
+def _e2ebench_stalled():
+    """The benchmark's stall verdict (``e2ebench/workloads.py``)."""
+    root = str(pathlib.Path(__file__).resolve().parents[2] / "e2ebench")
+    sys.path.insert(0, root)
+    try:
+        return importlib.import_module("workloads").stalled
+    finally:
+        sys.path.remove(root)
 
 
 class TestNoIOEquivalence:
@@ -117,6 +136,98 @@ class TestPipelineEquivalence:
         assert fast.frames == exact.frames
         assert _rel(fast.t_hours, exact.t_hours) < 1e-3
         assert fast.pipeline.ff_jumps >= 1
+
+
+class TestFrameIds:
+    """A jump renumbers the frames in flight along with their timestamps."""
+
+    @pytest.mark.parametrize(
+        "label,rotation_period", [("2", None), ("2C", 5), ("2C", 40)]
+    )
+    def test_result_ids_plus_skipped_ranges_equal_exact_ids(
+        self, label, rotation_period
+    ):
+        """Period 5 detects over the full rotation cycle, period 40 within
+        each rotation epoch."""
+        spec = PAPER_EXPERIMENTS[label]
+        if rotation_period is not None:
+            spec = dataclasses.replace(spec, rotation_period=rotation_period)
+        exact, fast = (
+            run_experiment(spec, mode=mode, telemetry=True, **TINY)
+            for mode in ("exact", "fast")
+        )
+
+        def ids(run):
+            return [e.data["frame"] for e in run.obs.events.of_kind("frame.result")]
+
+        epochs = fast.obs.events.of_kind("ff.epoch")
+        assert epochs
+        skipped = [
+            i
+            for e in epochs
+            for i in range(e.data["first_frame"], e.data["last_frame"] + 1)
+        ]
+        assert len(skipped) == fast.pipeline.ff_frames_skipped
+        assert sorted(ids(fast) + skipped) == ids(exact)
+
+
+#: Table rows: policy family x cut x rotation period. A 110 mAh cell
+#: lasts past two 400-frame epochs, and at 160 kbps the baseline policy
+#: hits the rotation deadlock, so the stall verdict is compared as well.
+ROTATION_TABLE = [
+    (policy, cut, period)
+    for policy in POLICY_FAMILIES
+    for cut in ((1,), (2,), (3,))
+    for period in (25, 50, 100, 200, 400)
+]
+
+
+class TestRotationTable:
+    """Fast vs exact across the rotation configs of the explore space."""
+
+    @pytest.fixture(scope="class")
+    def stalled(self):
+        return _e2ebench_stalled()
+
+    @pytest.mark.parametrize(
+        "policy,cut,period",
+        ROTATION_TABLE,
+        ids=[f"{p}-cut{c[0]}-rot{r}" for p, c, r in ROTATION_TABLE],
+    )
+    def test_fast_matches_exact(self, stalled, policy, cut, period):
+        config = ExploreConfig(
+            index=0,
+            policy=policy,
+            cut=cut,
+            rotation_period=period,
+            bandwidth_bps=160_000.0,
+            chemistry="kibam",
+            capacity_mah=110.0,
+            io_activity=0.3,
+            deadline_s=2.3,
+        )
+        kw = dict(
+            battery_factory=config.battery_factory(),
+            power_model=config.power_model(),
+            timing=config.timing(),
+        )
+        exact = run_experiment(config.experiment_spec(), mode="exact", **kw)
+        fast = run_experiment(config.experiment_spec(), mode="fast", **kw)
+        assert fast.frames == exact.frames
+        assert _rel(fast.t_hours, exact.t_hours) <= 1e-9
+        assert stalled(fast) == stalled(exact)
+        if exact.frames >= 2 * period:
+            assert fast.pipeline.ff_jumps >= 1
+
+    def test_full_scale_2c_counters_pinned(self):
+        """Deterministic work counters of the paper's rotation run.
+
+        Any change to these must be explained in CHANGES.md.
+        """
+        fast = run_experiment(PAPER_EXPERIMENTS["2C"], mode="fast")
+        assert fast.frames == 30653
+        assert fast.pipeline.ff_jumps == 315
+        assert fast.pipeline.ff_frames_skipped == 27854
 
 
 class TestGating:
