@@ -218,13 +218,12 @@ def bench_batch_sweep(grid: int = 10) -> dict:
             "wall_s": round(r.stats.wall_s, 2),
             "configs_per_sec": round(r.stats.configs_per_sec, 1),
         }
-    base = scaling["jobs_1"]["wall_s"]
-    for row in scaling.values():
-        row["speedup"] = round(base / row["wall_s"], 2) if row["wall_s"] else 0.0
+    cpus = os.cpu_count() or 1
+    _add_speedups(scaling, cpus)
     return {
         # Scaling numbers are meaningless without knowing how many cores
         # the host actually had — CI gates condition on this.
-        "cpus": os.cpu_count() or 1,
+        "cpus": cpus,
         "scaling_chunk_size": chunk,
         "configs": stats.configs,
         "cells": stats.cells,
@@ -239,6 +238,16 @@ def bench_batch_sweep(grid: int = 10) -> dict:
             "max_lifetime_rel_err": report.max_rel_err,
         },
     }
+
+
+def _add_speedups(scaling: dict, cpus: int) -> None:
+    """Give each ``jobs_N`` row its speedup over ``jobs_1``, except rows
+    with more workers than ``cpus``: there the ratio measures
+    oversubscription, not scaling, so it is left out."""
+    base = scaling["jobs_1"]["wall_s"]
+    for name, row in scaling.items():
+        if int(name.removeprefix("jobs_")) <= cpus:
+            row["speedup"] = round(base / row["wall_s"], 2) if row["wall_s"] else 0.0
 
 
 def bench_explore(quick: bool = False) -> dict:
@@ -506,8 +515,12 @@ def bench_suite(mode: str = "exact", jobs: int = 1) -> dict:
     return out
 
 
-def _add_parity(section: dict, serial: dict) -> None:
-    """Annotate a suite section with frame/lifetime parity vs serial."""
+def _add_parity(section: dict, serial: dict, jobs: int, cpus: int) -> None:
+    """Annotate a suite section with frame/lifetime parity vs serial.
+
+    ``speedup_vs_serial`` is left out when the section ran more
+    workers than the host had CPUs, as in :func:`_add_speedups`.
+    """
     for label, row in section["experiments"].items():
         ref = serial["experiments"].get(label)
         if ref is None:
@@ -518,7 +531,7 @@ def _add_parity(section: dict, serial: dict) -> None:
             if ref["t_hours"]
             else 0.0
         )
-    if section["wall_s"]:
+    if section["wall_s"] and jobs <= cpus:
         section["speedup_vs_serial"] = round(
             serial["wall_s"] / section["wall_s"], 2
         )
@@ -589,13 +602,14 @@ def main(argv: list[str] | None = None) -> int:
         "explore_guided": bench_explore_guided(quick=args.quick),
     }
     if not args.quick:
+        cpus = os.cpu_count() or 1
         serial = bench_suite()
         report["paper_suite_serial"] = serial
         fastforward = bench_suite(mode="fast")
-        _add_parity(fastforward, serial)
+        _add_parity(fastforward, serial, jobs=1, cpus=cpus)
         report["paper_suite_fastforward"] = fastforward
         parallel = bench_suite(jobs=4)
-        _add_parity(parallel, serial)
+        _add_parity(parallel, serial, jobs=4, cpus=cpus)
         report["paper_suite_parallel"] = parallel
     report["history"] = _carry_history(args.output)
 

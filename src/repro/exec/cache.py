@@ -186,14 +186,21 @@ class ResultCache:
         salt — the salt is already part of the key, so this changes no
         lookup, but it lets :meth:`info`/:meth:`prune` attribute and
         evict entries stranded by a salt bump.
+
+        The entry is encoded in one ``json.dumps`` pass before any file
+        is opened: ``json.dump`` streams through the pure-Python
+        encoder, several times slower on large telemetry payloads, and
+        an unserializable payload would leave a partial temp file.
+        Both produce the same bytes.
         """
+        envelope = {"__repro_cache__": 1, "salt": self.salt, "payload": payload}
+        text = json.dumps(envelope, separators=(",", ":"))
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        envelope = {"__repro_cache__": 1, "salt": self.salt, "payload": payload}
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp, path)
         except OSError:
             # A read-only or full disk degrades to "no cache", silently.
@@ -292,11 +299,15 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Remove every entry; returns the number of files removed."""
+        """Remove every entry; returns the number of files removed.
+
+        Leftover ``*.json.*.tmp`` files, from writers killed between
+        the write and the rename, are removed and counted too.
+        """
         removed = 0
         if not self.root.exists():
             return removed
-        for path in self.root.rglob("*.json"):
+        for path in [*self.root.rglob("*.json"), *self.root.rglob("*.json.*.tmp")]:
             try:
                 path.unlink()
                 removed += 1

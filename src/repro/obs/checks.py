@@ -376,11 +376,12 @@ class RotationBalanceMonitor(InvariantMonitor):
 
     The whole point of node rotation is that no node burns its battery
     on the expensive stage while others idle. Tracks each node's
-    state-of-charge from ``battery.draw`` samples; once every node has
-    reported, the spread between the fullest and emptiest cell must
-    stay within ``tolerance`` (a charge fraction). The check is
-    evaluated per sample, so the verdict pins the moment balance was
-    first lost.
+    state-of-charge from ``battery.draw`` samples; each time every node
+    has reported since the last check, the spread between the fullest
+    and emptiest cell must stay within ``tolerance`` (a charge
+    fraction). Judging whole rounds keeps a fresh sample from being
+    compared with another node's sample a full interval older, and the
+    verdict pins the sample that completed the first unbalanced round.
     """
 
     name = "rotation-balance"
@@ -391,15 +392,18 @@ class RotationBalanceMonitor(InvariantMonitor):
         self.tolerance = tolerance
         self.n_nodes = n_nodes
         self._charge: dict[str, float] = {}
+        self._round: set[str] = set()
 
     def _observe(self, event: TelemetryEvent) -> None:
         fraction = event.data.get("charge_fraction")
         if fraction is None:
             return
         self._charge[event.actor] = fraction
+        self._round.add(event.actor)
         expected = self.n_nodes if self.n_nodes is not None else 2
-        if len(self._charge) < max(expected, 2):
+        if len(self._round) < max(expected, 2):
             return
+        self._round.clear()
         spread = max(self._charge.values()) - min(self._charge.values())
         if spread > self.tolerance:
             self._violate(

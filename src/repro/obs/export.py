@@ -407,7 +407,9 @@ def write_chrome_trace(
     payload = chrome_trace(
         trace=trace, events=events, spans=spans, monitors=monitors, label=label
     )
+    # One C-encoder pass; json.dump would stream through the pure-Python
+    # encoder and write the same bytes several times slower.
+    text = json.dumps(payload, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
     return path

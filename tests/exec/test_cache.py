@@ -1,15 +1,21 @@
 """ResultCache: keys, round-trips, invalidation, corruption tolerance."""
 
+import ast
 import dataclasses
 import json
+import math
+import pathlib
 
 import pytest
 
-from repro.core.experiments import PAPER_EXPERIMENTS
+import repro
+from repro.core.experiments import PAPER_EXPERIMENTS, _run_payload, run_experiment
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache, canonical, stable_key
 from repro.hw.battery.kibam import PAPER_BATTERY
 from repro.hw.power import PAPER_POWER_MODEL, PowerMode
+
+from tests.conftest import tiny_battery_factory
 
 
 class TestStableKey:
@@ -118,3 +124,102 @@ class TestResultCache:
 
         cache = ResultCache(root="unused")
         assert repro.__version__ in cache.salt
+
+    def test_clear_removes_leftover_temp_files(self, tmp_path):
+        cache = ResultCache(root=tmp_path, salt="s")
+        key = cache.key_for("config")
+        cache.put(key, {"kept": False})
+        # What a writer killed between its write and its rename leaves.
+        orphan = cache.path_for(key).with_name(f"{key}.json.4242.tmp")
+        orphan.write_text('{"__repro_cache__":1', encoding="utf-8")
+        assert cache.clear() == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_unserializable_put_leaves_no_file(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResultCache(root=root, salt="s")
+        with pytest.raises(TypeError):
+            cache.put("ab" * 32, {"bad": object()})
+        assert [p for p in root.rglob("*") if p.is_file()] == []
+        assert cache.clear() == 0
+
+
+def _streamed(envelope):
+    """The bytes ``json.dump`` streamed through the pure-Python encoder."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    return "".join(encoder.iterencode(envelope)).encode("utf-8")
+
+
+class TestEntryEncoding:
+    """Entries are byte-identical to the old streaming encoding, so a
+    cache written before the one-pass encoder still hits and diffs clean."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"sum": 0.1 + 0.2, "tiny": 1e-300, "subnormal": 5e-324, "neg": -0.0},
+            {"inf": math.inf, "ninf": -math.inf, "nan": math.nan},
+            {"outer": {1: {2: [1, 2.5, None, True]}, "k": {"x": [[]]}}},
+            {"text": "Ωmega — naïve ✓", "emoji": "\U0001f50b", "ctl": "a\nb\t"},
+            [1, "two", 3.0],
+        ],
+        ids=["floats", "non-finite", "int-keys", "non-ascii", "bare-list"],
+    )
+    def test_bytes_match_streaming_encoder(self, tmp_path, payload):
+        self._check(tmp_path, payload)
+
+    def test_run_payload_with_telemetry(self, tmp_path):
+        run = run_experiment(
+            PAPER_EXPERIMENTS["2"],
+            battery_factory=tiny_battery_factory,
+            max_frames=6,
+            telemetry=True,
+        )
+        payload = _run_payload(run)
+        assert payload["obs"]["events"]
+        self._check(tmp_path, payload)
+
+    @staticmethod
+    def _check(tmp_path, payload):
+        cache = ResultCache(root=tmp_path, salt="s")
+        key = cache.key_for("entry")
+        cache.put(key, payload)
+        envelope = {"__repro_cache__": 1, "salt": "s", "payload": payload}
+        assert cache.path_for(key).read_bytes() == _streamed(envelope)
+        # get decodes to the same value as re-reading the streamed bytes
+        # (a plain == would fail on nan and on int keys turned strings).
+        expected = json.loads(_streamed(payload))
+        assert json.dumps(cache.get(key)) == json.dumps(expected)
+
+
+def _json_dump_calls(tree: ast.AST) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name == "dump" for alias in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dump"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_streaming_json_dump_in_package():
+    """``json.dump`` never uses the C encoder; write ``json.dumps`` text."""
+    src = pathlib.Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(src.parent)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in _json_dump_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_dump_scan_detects_both_spellings():
+    tree = ast.parse("import json\njson.dump(x, fh)\nfrom json import dump\n")
+    assert _json_dump_calls(tree) == [2, 3]

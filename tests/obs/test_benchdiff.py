@@ -128,6 +128,18 @@ def test_one_sided_metrics_never_regress():
     assert by_metric["wall_s"]["current"] is None
 
 
+def test_dropped_speedup_never_regresses():
+    # A report written on fewer CPUs than workers omits the speedup.
+    current = {"paper_suite_parallel": {"wall_s": 10.0}}
+    baseline = {"paper_suite_parallel": {"wall_s": 10.0,
+                                         "speedup_vs_serial": 0.91}}
+    rows = bench_diff(current, baseline, threshold_pct=1.0)
+    assert not any(r["regression"] for r in rows)
+    by_metric = {r["metric"]: r for r in rows}
+    assert by_metric["speedup_vs_serial"]["current"] is None
+    assert by_metric["speedup_vs_serial"]["rel_pct"] is None
+
+
 def test_directionless_metrics_report_but_never_gate():
     rows = bench_diff({"s": {"frames": 1.0}}, {"s": {"frames": 100.0}},
                       threshold_pct=1.0)

@@ -262,6 +262,18 @@ class TestRotationBalanceMonitor:
         assert not verdict.ok
         assert verdict.violating_event.kind == "battery.draw"
 
+    def test_fresh_sample_not_judged_against_stale_one(self):
+        # node1's t=121 reading against node2's t=2 one spreads 0.14, but
+        # node2 reads 0.802 a second later: the real spread is 0.056.
+        events = [
+            ("battery.draw", 1.9, "node1", {"charge_fraction": 0.9988}),
+            ("battery.draw", 2.0, "node2", {"charge_fraction": 0.9983}),
+            ("battery.draw", 121.1, "node1", {"charge_fraction": 0.8578}),
+            ("battery.draw", 122.0, "node2", {"charge_fraction": 0.8021}),
+        ]
+        verdict = _verdict(RotationBalanceMonitor(n_nodes=2), events)
+        assert verdict.ok
+
     def test_waits_for_every_node_before_judging(self):
         # Only node1 ever reports: no spread to evaluate, vacuous pass.
         events = [

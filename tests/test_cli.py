@@ -86,6 +86,29 @@ class TestTraceExport:
         assert validate_chrome_trace(payload) == []
         assert expect_tracks(payload, ["node1", "node2"]) == []
 
+    def test_chrome_export_bytes_match_streaming_encoder(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        from repro.obs import export as obs_export
+
+        captured = []
+        build = obs_export.chrome_trace
+
+        def recording_chrome_trace(**kwargs):
+            captured.append(build(**kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(obs_export, "chrome_trace", recording_chrome_trace)
+        out = tmp_path / "trace.json"
+        assert main(["trace", "2", "--frames", "8",
+                     "--export", "chrome", "-o", str(out)]) == 0
+        (payload,) = captured
+        encoder = json.JSONEncoder(separators=(",", ":"))
+        expected = "".join(encoder.iterencode(payload)) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_jsonl_export_reloads(self, tmp_path, capsys):
         from repro.obs import read_jsonl
 
