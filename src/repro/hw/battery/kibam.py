@@ -121,6 +121,10 @@ class KiBaM(Battery):
         self._y1 = params.c * total
         self._y2 = (1.0 - params.c) * total
         self._dead = False
+        # The rate constants, read once per cell: ``k_prime_per_second``
+        # is a property, and the per-segment draw needs both.
+        self._kp = params.k_prime_per_second
+        self._c = params.c
         # dt -> (ex, one_minus_ex, r): the duration-dependent factors of
         # the closed form, computed exactly as _step computes them so the
         # fast path below is bit-identical to reference stepping.
@@ -144,8 +148,8 @@ class KiBaM(Battery):
     # -- closed-form stepping -------------------------------------------
     def _step(self, y1: float, y2: float, current_ma: float, dt_s: float) -> tuple[float, float]:
         """Pure function: the closed-form KiBaM step (no state change)."""
-        kp = self.params.k_prime_per_second
-        c = self.params.c
+        kp = self._kp
+        c = self._c
         y0 = y1 + y2
         x = kp * dt_s
         ex = math.exp(-x)
@@ -174,7 +178,7 @@ class KiBaM(Battery):
         cached = self._factors.get(dt_s)
         if cached is not None:
             return cached
-        kp = self.params.k_prime_per_second
+        kp = self._kp
         x = kp * dt_s
         ex = math.exp(-x)
         if x < 1e-6:
@@ -209,9 +213,13 @@ class KiBaM(Battery):
         ):
             super().draw(current_ma, dt_s)
             return
-        ex, one_minus_ex, r = self._dt_factors(dt_s)
-        kp = self.params.k_prime_per_second
-        c = self.params.c
+        factors = self._factors
+        if dt_s in factors:
+            ex, one_minus_ex, r = factors[dt_s]
+        else:
+            ex, one_minus_ex, r = self._dt_factors(dt_s)
+        kp = self._kp
+        c = self._c
         y2 = self._y2
         y0 = y1 + y2
         self._y1 = y1 * ex + (y0 * kp * c - current_ma) * one_minus_ex / kp - current_ma * c * r
@@ -239,8 +247,8 @@ class KiBaM(Battery):
         Charge conservation makes ``A`` column-stochastic, so its
         powers are numerically stable.
         """
-        kp = self.params.k_prime_per_second
-        c = self.params.c
+        kp = self._kp
+        c = self._c
         a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
         b1 = b2 = 0.0
         drain = 0.0

@@ -189,7 +189,7 @@ class DVSTable:
         """
         if seconds_at_max < 0:
             raise ConfigurationError("task time must be non-negative")
-        return seconds_at_max * self.max.mhz / level.mhz
+        return seconds_at_max * self.levels[-1].mhz / level.mhz
 
     def required_mhz(self, seconds_at_max: float, budget_seconds: float) -> float:
         """Continuous frequency needed to fit the task in ``budget_seconds``.

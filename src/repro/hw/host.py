@@ -95,6 +95,9 @@ class HostHub:
         self.rng = rng
         self.obs = obs if obs else None
         self._links: dict[frozenset[str], SerialLink] = {}
+        # (a, b) -> link, for pairs already validated: the pipeline looks
+        # up the same few pairs on every frame.
+        self._pairs: dict[tuple[str, str], SerialLink] = {}
 
         self._inter_timing = (
             store_and_forward_timing(timing) if store_and_forward else timing
@@ -107,6 +110,9 @@ class HostHub:
         Either actor may be :data:`HOST_NAME`. The same pair always
         returns the same link object regardless of argument order.
         """
+        pair = self._pairs.get((a, b))
+        if pair is not None:
+            return pair
         for name in (a, b):
             if name != HOST_NAME and name not in self.node_names:
                 raise LinkError(f"unknown actor {name!r}; have {self.node_names} + host")
@@ -118,7 +124,8 @@ class HostHub:
             self._links[key] = SerialLink(
                 self.sim, a, b, timing, self.rng, obs=self.obs
             )
-        return self._links[key]
+        link = self._pairs[a, b] = self._links[key]
+        return link
 
     def host_link(self, node: str) -> SerialLink:
         """The node's own serial port to the host."""

@@ -228,6 +228,14 @@ class SerialLink:
         self.transfer_count: dict[str, int] = {a: 0, b: 0}
         #: Total payload bytes moved per direction (diagnostics).
         self.bytes_moved: dict[str, int] = {a: 0, b: 0}
+        # payload bytes -> transaction time, when the timing draws no
+        # randomness (a jittered or corrupting transaction consumes RNG
+        # draws per attempt, so it is computed afresh every time).
+        self._durations: dict[int, float] | None = (
+            {}
+            if timing.startup_jitter_s == 0 and timing.corruption_prob == 0
+            else None
+        )
 
     # -- public API ---------------------------------------------------------
     def peer_of(self, endpoint: str) -> str:
@@ -241,10 +249,11 @@ class SerialLink:
         Returns an event that fires with the :class:`Transfer` at
         *transaction start*; wait on ``transfer.done`` for completion.
         """
-        self._check_endpoint(frm)
+        if frm != self.a and frm != self.b:
+            self._check_endpoint(frm)
         if payload_bytes < 0:
             raise LinkError(f"payload must be non-negative: {payload_bytes}")
-        offer = _Offer(event=Event(self.sim), message=message, payload_bytes=payload_bytes)
+        offer = _Offer(Event(self.sim), message, payload_bytes)
         self._sends[frm].append(offer)
         self._try_match(frm)
         return offer.event
@@ -255,10 +264,15 @@ class SerialLink:
         Returns an event that fires with the :class:`Transfer` at
         transaction start (same object the sender sees).
         """
-        self._check_endpoint(to)
-        offer = _Offer(event=Event(self.sim))
-        self._recvs[self.peer_of(to)].append(offer)
-        self._try_match(self.peer_of(to))
+        if to == self.a:
+            direction = self.b
+        elif to == self.b:
+            direction = self.a
+        else:
+            self._check_endpoint(to)
+        offer = _Offer(Event(self.sim))
+        self._recvs[direction].append(offer)
+        self._try_match(direction)
         return offer.event
 
     def cancel(self, grant: Event) -> bool:
@@ -302,13 +316,18 @@ class SerialLink:
                 continue
             send = sends.popleft()
             recv = recvs.popleft()
-            duration = self.timing.duration(send.payload_bytes, self.rng)
+            durations = self._durations
+            if durations is None:
+                duration = self.timing.duration(send.payload_bytes, self.rng)
+            elif send.payload_bytes in durations:
+                duration = durations[send.payload_bytes]
+            else:
+                duration = durations[send.payload_bytes] = self.timing.duration(
+                    send.payload_bytes, self.rng
+                )
+            now = self.sim._now
             transfer = Transfer(
-                message=send.message,
-                payload_bytes=send.payload_bytes,
-                start_s=self.sim.now,
-                duration_s=duration,
-                done=Event(self.sim),
+                send.message, send.payload_bytes, now, duration, Event(self.sim)
             )
             send.event.succeed(transfer)
             recv.event.succeed(transfer)
@@ -326,7 +345,7 @@ class SerialLink:
                 if frame_id is None:
                     self.obs.emit(
                         "link.xfer",
-                        self.sim.now,
+                        now,
                         direction,
                         to=self.b if direction == self.a else self.a,
                         bytes=send.payload_bytes,
@@ -336,7 +355,7 @@ class SerialLink:
                 else:
                     self.obs.emit(
                         "link.xfer",
-                        self.sim.now,
+                        now,
                         direction,
                         to=self.b if direction == self.a else self.a,
                         bytes=send.payload_bytes,

@@ -18,12 +18,22 @@ from repro.hw.battery import Battery, BatteryMonitor
 from repro.hw.dvs import DVSTable, FrequencyLevel
 from repro.hw.link import SerialLink, Transfer
 from repro.hw.power import PowerMode, PowerModel
-from repro.sim import Event, Process, Simulator, TraceRecorder
+from repro.sim import Event, Process, Simulator, Timeout, TraceRecorder
+from repro.sim.events import _PENDING, AnyOf
 
 #: PowerMode -> display string, precomputed: segment closes and DVS
 #: events need the string form, and enum __str__ is a measurable cost
 #: on the per-segment path.
 _MODE_STR = {m: str(m) for m in PowerMode}
+
+#: Module-level aliases of the modes: reading an Enum member through its
+#: class goes through a descriptor (about 0.1 us on CPython 3.11, ten
+#: times a global read), and the hot path names a mode per transition.
+_IDLE = PowerMode.IDLE
+_COMMUNICATION = PowerMode.COMMUNICATION
+_COMPUTATION = PowerMode.COMPUTATION
+_SLEEP = PowerMode.SLEEP
+_DEAD = PowerMode.DEAD
 
 __all__ = ["ItsyNode", "NodeDead"]
 
@@ -104,12 +114,24 @@ class ItsyNode:
         #: keeps the per-segment cost at one C-level test.
         self._ledger = ledger
 
-        self.mode = PowerMode.IDLE
+        #: id(level) -> (level, {mode: current_ma}) for the DVS table's
+        #: own level objects. Keying by id() is safe because the table
+        #: keeps every one of them alive as long as the node; any other
+        #: (equal-valued) level object is mapped onto its table twin
+        #: before it is stored, and never cached by its own id().
+        self._levels: dict[int, tuple[FrequencyLevel, dict[PowerMode, float]]] = {
+            id(lv): (lv, {}) for lv in dvs_table.levels
+        }
+        self.mode = _IDLE
         self.level: FrequencyLevel = dvs_table.min
+        #: Per-mode currents of the present level (filled lazily).
+        self._currents = self._levels[id(self.level)][1]
         self.activity = "idle"
         self._detail = ""
         self._segment_start = sim.now
-        self._current_ma = power_model.current_ma(self.mode, self.level)
+        self._current_ma = self._currents[self.mode] = power_model.current_ma(
+            self.mode, self.level
+        )
 
         #: Fires (once) with a :class:`NodeDead` when the battery dies.
         self.died: Event = sim.event()
@@ -122,7 +144,10 @@ class ItsyNode:
         # targets after timers are armed.
         self._armed_at = float("inf")
         self._armed_timer: Event | None = None
-        self._current_cache: dict[tuple[PowerMode, FrequencyLevel], float] = {}
+        # The last death-timer target computed, ``_segment_start +
+        # time_to_death_lower_bound(_current_ma)``: valid while neither
+        # the battery nor the draw has changed since.
+        self._death_target = float("inf")
         self._attached: list[Process] = []
         self._open_offers: list[tuple[SerialLink, Event]] = []
         #: Completed frames this node has fully processed (diagnostics).
@@ -149,7 +174,7 @@ class ItsyNode:
     @property
     def is_dead(self) -> bool:
         """True once the battery has been exhausted."""
-        return self.mode is PowerMode.DEAD
+        return self.mode is _DEAD
 
     @property
     def current_ma(self) -> float:
@@ -177,37 +202,77 @@ class ItsyNode:
 
         Integrates the battery over the segment just ended, records it
         in the trace, and reschedules the death timer for the new draw.
+        ``level`` must equal one of the DVS table's levels; the node
+        stores the table's own object, and only a level of a different
+        value counts (and reports) as a switch.
         """
-        if self.is_dead:
+        if self.mode is _DEAD:
             raise SimulationError(f"node {self.name!r} is dead; cannot set state")
-        if level is None:
+        if level is None or level is self.level:
             level = self.level
-        elif level is not self.level:
-            # Membership is only worth checking for a genuinely new
-            # level object: the current one was validated when set.
-            if level not in self.dvs_table.levels:
-                raise ConfigurationError(f"{level} is not in this node's DVS table")
-            self.level_switches += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "dvs.switch",
-                    self.sim.now,
-                    self.name,
-                    from_mhz=self.level.mhz,
-                    to_mhz=level.mhz,
-                    mode=_MODE_STR[mode],
-                )
-        self._close_segment()
+            currents = self._currents
+        else:
+            entry = self._levels.get(id(level))
+            if entry is None:
+                entry = self._table_level(level)
+            level, currents = entry
+            if level is not self.level:
+                self.level_switches += 1
+                if self.obs is not None:
+                    self.obs.emit(
+                        "dvs.switch",
+                        self.sim._now,
+                        self.name,
+                        from_mhz=self.level.mhz,
+                        to_mhz=level.mhz,
+                        mode=_MODE_STR[mode],
+                    )
+                self._currents = currents
+        # _close_segment, inlined: this is the simulation's hottest call.
+        now = self.sim._now
+        dt = now - self._segment_start
+        previous_ma = self._current_ma
+        if dt > 0:
+            self.battery.draw(previous_ma, dt)
+            if (
+                self._draw_log is not None
+                or self._ledger is not None
+                or self.monitor is not None
+                or self.trace is not None
+            ):
+                self._record_segment(now, dt)
+        self._segment_start = now
         self.mode = mode
         self.level = level
         self.activity = activity if activity is not None else _MODE_STR[mode]
         self._detail = detail
-        key = (mode, level)
-        current = self._current_cache.get(key)
-        if current is None:
-            current = self._current_cache[key] = self.power_model.current_ma(mode, level)
+        try:
+            current = currents[mode]
+        except KeyError:
+            current = currents[mode] = self.power_model.current_ma(mode, level)
         self._current_ma = current
-        self._schedule_death_timer()
+        # _schedule_death_timer, inlined. After a zero-length segment at
+        # an unchanged draw the battery and the draw are as the last
+        # check saw them, so its target stands without a battery call.
+        if dt > 0 or current != previous_ma:
+            target = now + self.battery.time_to_death_lower_bound(current)
+            self._death_target = target
+        else:
+            target = self._death_target
+        if target < self._armed_at:
+            self._arm_death_timer(target)
+
+    def _table_level(
+        self, level: FrequencyLevel
+    ) -> tuple[FrequencyLevel, dict[PowerMode, float]]:
+        """The table's entry for a level object the table does not own."""
+        try:
+            index = self.dvs_table.levels.index(level)
+        except ValueError:
+            raise ConfigurationError(
+                f"{level} is not in this node's DVS table"
+            ) from None
+        return self._levels[id(self.dvs_table.levels[index])]
 
     def _segment_bucket(self) -> str:
         """Attribution bucket of the *current* (closing) segment.
@@ -220,46 +285,53 @@ class ItsyNode:
         Communication is ``"link"``, everything else ``"idle"``.
         """
         mode = self.mode
-        if mode is PowerMode.COMPUTATION:
+        if mode is _COMPUTATION:
             activity = self.activity
             if activity == "proc":
                 block = self._detail.rpartition(" f")[0]
                 return block if block else "proc"
             return activity
-        if mode is PowerMode.COMMUNICATION:
+        if mode is _COMMUNICATION:
             return "link"
         return "idle"
 
     def _close_segment(self) -> None:
         """Integrate battery/trace over [segment_start, now]."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._segment_start
         if dt > 0:
             self.battery.draw(self._current_ma, dt)
-            ledger = self._ledger
-            if self._draw_log is not None or ledger is not None:
-                bucket = self._segment_bucket()
-                if self._draw_log is not None:
-                    self._draw_log.append(
-                        (self._current_ma, dt, _MODE_STR[self.mode], bucket)
-                    )
-                if ledger is not None:
-                    ledger.add(
-                        self.name, _MODE_STR[self.mode], bucket, self._current_ma, dt
-                    )
-            if self.monitor is not None:
-                self.monitor.observe(now, self._current_ma, dt, _MODE_STR[self.mode])
-            if self.trace is not None:
-                self.trace.add(
-                    self.name,
-                    self._segment_start,
-                    now,
-                    self.activity,
-                    frequency_mhz=self.level.mhz,
-                    current_ma=self._current_ma,
-                    detail=self._detail,
-                )
+            if (
+                self._draw_log is not None
+                or self._ledger is not None
+                or self.monitor is not None
+                or self.trace is not None
+            ):
+                self._record_segment(now, dt)
         self._segment_start = now
+
+    def _record_segment(self, now: float, dt: float) -> None:
+        """Hand the closing segment to the draw log, ledger, monitor and trace."""
+        mode = _MODE_STR[self.mode]
+        ledger = self._ledger
+        if self._draw_log is not None or ledger is not None:
+            bucket = self._segment_bucket()
+            if self._draw_log is not None:
+                self._draw_log.append((self._current_ma, dt, mode, bucket))
+            if ledger is not None:
+                ledger.add(self.name, mode, bucket, self._current_ma, dt)
+        if self.monitor is not None:
+            self.monitor.observe(now, self._current_ma, dt, mode)
+        if self.trace is not None:
+            self.trace.add(
+                self.name,
+                self._segment_start,
+                now,
+                self.activity,
+                frequency_mhz=self.level.mhz,
+                current_ma=self._current_ma,
+                detail=self._detail,
+            )
 
     def warp(self, delta: float) -> None:
         """Shift this node's absolute-time bookkeeping after a time warp.
@@ -292,13 +364,12 @@ class ItsyNode:
         at or before ``_segment_start + time_to_death_lower_bound()``,
         which never exceeds the true death instant.
         """
-        bound = self.battery.time_to_death_lower_bound(self._current_ma)
-        if bound == float("inf"):
-            return
-        target = self._segment_start + bound
-        if target >= self._armed_at:
-            return  # a pending timer already fires soon enough
-        self._arm_death_timer(target)
+        target = self._segment_start + self.battery.time_to_death_lower_bound(
+            self._current_ma
+        )
+        self._death_target = target
+        if target < self._armed_at:  # else a pending timer fires soon enough
+            self._arm_death_timer(target)
 
     def _arm_death_timer(self, target: float) -> None:
         self._armed_at = target
@@ -349,7 +420,7 @@ class ItsyNode:
     def _die(self) -> None:
         """Common death path: close accounting, notify, cancel offers."""
         self._close_segment()
-        self.mode = PowerMode.DEAD
+        self.mode = _DEAD
         self.activity = "dead"
         self._current_ma = 0.0
         self.death_time_s = self.sim.now
@@ -386,9 +457,9 @@ class ItsyNode:
             yield from node.compute(0.162, level)
         """
         scaled = self.dvs_table.scale_time(seconds_at_max, level)
-        self.set_state(PowerMode.COMPUTATION, level, activity, detail)
-        yield self.sim.timeout(scaled)
-        self.set_state(PowerMode.IDLE, level, "idle")
+        self.set_state(_COMPUTATION, level, activity, detail)
+        yield Timeout(self.sim, scaled)
+        self.set_state(_IDLE, level, "idle")
 
     def transfer(
         self,
@@ -410,7 +481,7 @@ class ItsyNode:
         a frame they have not seen yet).
         """
         self._open_offers.append((link, grant))
-        if not grant.triggered:
+        if grant._value is _PENDING:
             self.io_stalls += 1
             if self.obs is not None:
                 if frame is None:
@@ -425,7 +496,7 @@ class ItsyNode:
                         activity=activity,
                         frame=frame,
                     )
-        self.set_state(PowerMode.IDLE, self.level, "wait", detail)
+        self.set_state(_IDLE, self.level, "wait", detail)
         try:
             transfer: Transfer = yield grant
         finally:
@@ -433,9 +504,9 @@ class ItsyNode:
                 self._open_offers.remove((link, grant))
             except ValueError:
                 pass  # already cleared by death handling
-        self.set_state(PowerMode.COMMUNICATION, io_level, activity, detail)
+        self.set_state(_COMMUNICATION, io_level, activity, detail)
         yield transfer.done
-        self.set_state(PowerMode.IDLE, io_level, "idle")
+        self.set_state(_IDLE, io_level, "idle")
         return transfer
 
     def transfer_or_timeout(
@@ -456,7 +527,7 @@ class ItsyNode:
         protocol is built on.
         """
         self._open_offers.append((link, grant))
-        if not grant.triggered:
+        if grant._value is _PENDING:
             self.io_stalls += 1
             if self.obs is not None:
                 if frame is None:
@@ -471,22 +542,22 @@ class ItsyNode:
                         activity=activity,
                         frame=frame,
                     )
-        self.set_state(PowerMode.IDLE, self.level, "wait", detail)
-        timer = self.sim.timeout(timeout_s)
+        self.set_state(_IDLE, self.level, "wait", detail)
+        timer = Timeout(self.sim, timeout_s)
         try:
-            yield self.sim.any_of([grant, timer])
+            yield AnyOf(self.sim, [grant, timer])
         finally:
             try:
                 self._open_offers.remove((link, grant))
             except ValueError:
                 pass  # already cleared by death handling
-        if not grant.triggered:
+        if grant._value is _PENDING:
             link.cancel(grant)
             return None
         transfer: Transfer = grant.value
-        self.set_state(PowerMode.COMMUNICATION, io_level, activity, detail)
+        self.set_state(_COMMUNICATION, io_level, activity, detail)
         yield transfer.done
-        self.set_state(PowerMode.IDLE, io_level, "idle")
+        self.set_state(_IDLE, io_level, "idle")
         return transfer
 
     def comm_delay(
@@ -500,14 +571,14 @@ class ItsyNode:
         """
         if seconds <= 0:
             return
-        self.set_state(PowerMode.COMMUNICATION, io_level, activity, detail)
-        yield self.sim.timeout(seconds)
-        self.set_state(PowerMode.IDLE, io_level, "idle")
+        self.set_state(_COMMUNICATION, io_level, activity, detail)
+        yield Timeout(self.sim, seconds)
+        self.set_state(_IDLE, io_level, "idle")
 
     def idle_for(self, seconds: float, level: FrequencyLevel | None = None) -> t.Generator:
         """Idle at ``level`` (default: current) for a fixed time."""
-        self.set_state(PowerMode.IDLE, level or self.level, "idle")
-        yield self.sim.timeout(seconds)
+        self.set_state(_IDLE, level or self.level, "idle")
+        yield Timeout(self.sim, seconds)
 
     def sleep_for(self, seconds: float, wake_latency_s: float = 0.0) -> t.Generator:
         """Deep-sleep for ``seconds``, then pay the wake-up latency.
@@ -520,12 +591,12 @@ class ItsyNode:
         """
         if seconds <= 0:
             return
-        self.set_state(PowerMode.SLEEP, self.level, "sleep")
-        yield self.sim.timeout(seconds)
+        self.set_state(_SLEEP, self.level, "sleep")
+        yield Timeout(self.sim, seconds)
         if wake_latency_s > 0:
-            self.set_state(PowerMode.COMPUTATION, self.level, "wake")
-            yield self.sim.timeout(wake_latency_s)
-        self.set_state(PowerMode.IDLE, self.level, "idle")
+            self.set_state(_COMPUTATION, self.level, "wake")
+            yield Timeout(self.sim, wake_latency_s)
+        self.set_state(_IDLE, self.level, "idle")
 
     def reconfigure(self, seconds: float, detail: str = "") -> t.Generator:
         """Spend ``seconds`` reloading code during a rotation (§5.5).
@@ -535,9 +606,9 @@ class ItsyNode:
         """
         if seconds <= 0:
             return
-        self.set_state(PowerMode.COMPUTATION, self.level, "reconfig", detail)
-        yield self.sim.timeout(seconds)
-        self.set_state(PowerMode.IDLE, self.level, "idle")
+        self.set_state(_COMPUTATION, self.level, "reconfig", detail)
+        yield Timeout(self.sim, seconds)
+        self.set_state(_IDLE, self.level, "idle")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ItsyNode {self.name!r} {self.mode} @ {self.level}>"

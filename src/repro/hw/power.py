@@ -53,6 +53,12 @@ class PowerMode(enum.Enum):
     #: Node whose battery is exhausted; draws nothing.
     DEAD = "dead"
 
+    #: Members are singletons compared by identity, so identity hashing
+    #: is consistent with equality — and runs in C, where Enum's default
+    #: ``hash(self._name_)`` is a Python call on every dict lookup the
+    #: node's per-transition path makes.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

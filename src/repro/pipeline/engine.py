@@ -31,13 +31,14 @@ from repro.hw.dvs import SA1100_TABLE, DVSTable, FrequencyLevel
 from repro.hw.host import HOST_NAME, HostHub
 from repro.hw.link import PAPER_LINK_TIMING, SerialLink, TransactionTiming
 from repro.hw.node import ItsyNode
-from repro.hw.power import PAPER_POWER_MODEL, PowerModel
+from repro.hw.power import PAPER_POWER_MODEL, PowerMode, PowerModel
 from repro.pipeline.recovery import RecoveryConfig
 from repro.pipeline.rotation import RotationController
 from repro.pipeline.workload import WorkloadModel
 from repro.pipeline.schedule import plan_node
 from repro.pipeline.tasks import NodeAssignment, Partition
-from repro.sim import Event, Simulator, TraceRecorder
+from repro.sim import Event, Simulator, Timeout, TraceRecorder
+from repro.sim.events import _PENDING, AnyOf
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Telemetry
@@ -632,26 +633,28 @@ class PipelineEngine:
             from repro.sim import RngStreams
 
             workload_rng = RngStreams(cfg.seed).stream("workload")
+        sim = self.sim
+        dead = PowerMode.DEAD
         while True:
-            if self.sim.now < self._next_emit:
-                yield self.sim.timeout(self._next_emit - self.sim.now)
+            if sim._now < self._next_emit:
+                yield Timeout(sim, self._next_emit - sim._now)
             scale = 1.0
             if cfg.workload is not None:
                 scale = cfg.workload.scale_for(self._frame_seq, workload_rng)
-            frame = Frame(id=self._frame_seq, emitted_s=self.sim.now, scale=scale)
+            frame = Frame(id=self._frame_seq, emitted_s=sim._now, scale=scale)
             if self._live_frames is not None:
                 self._live_frames[frame.id] = frame
             while True:
                 target = self._stage0_holder
-                if target is None or self.nodes[target].is_dead:
+                if target is None or self.nodes[target].mode is dead:
                     # Nobody can take frames; wait for a takeover.
                     yield self._stage0_changed
                     continue
-                link = self.hub.host_link(target)
+                link = self.hub.link(HOST_NAME, target)
                 grant = link.offer_send(frame, input_bytes, frm=HOST_NAME)
                 changed = self._stage0_changed
-                yield self.sim.any_of([grant, changed])
-                if grant.triggered:
+                yield AnyOf(sim, [grant, changed])
+                if grant._value is not _PENDING:
                     transfer = grant.value
                     yield transfer.done
                     if cfg.trace is not None:
@@ -665,7 +668,7 @@ class PipelineEngine:
                     if self._log:
                         self._log.emit(
                             "frame.emit",
-                            self.sim.now,
+                            sim._now,
                             HOST_NAME,
                             frame=frame.id,
                             to=target,
@@ -695,12 +698,13 @@ class PipelineEngine:
             self._record_result(transfer.message)
 
     def _record_result(self, frame: Frame) -> None:
+        now = self.sim._now
         self.results_count += 1
-        self._last_progress = self.sim.now
+        self._last_progress = now
         if self._live_frames is not None:
             self._live_frames.pop(frame.id, None)
         if self._first_result_s is None:
-            self._first_result_s = self.sim.now
+            self._first_result_s = now
         # The per-frame latency contract implied by §3/§4.5: a frame
         # entering an N-stage pipeline must leave within N * D of its
         # emission. Measuring against each frame's own emission time is
@@ -708,7 +712,7 @@ class PipelineEngine:
         # ahead of schedule) and to hiccups (a failure migration delays
         # only the frames actually in flight, not every later one).
         contract = len(self.config.roles) * self.config.deadline_s
-        latency = self.sim.now - frame.emitted_s
+        latency = now - frame.emitted_s
         lateness = latency - contract
         if lateness > self.max_lateness_s:
             self.max_lateness_s = lateness
@@ -718,22 +722,22 @@ class PipelineEngine:
             if self._log is not None:
                 self._log.emit(
                     "frame.result",
-                    self.sim.now,
+                    now,
                     HOST_NAME,
                     frame=frame.id,
                     latency_s=latency,
                     late=lateness > self.config.lateness_tolerance_s,
                 )
             self._latency_hist.observe(latency)
-        self._prev_result_s = self.sim.now
+        self._prev_result_s = now
         if len(self.result_times) < self.keep_result_times:
-            self.result_times.append(self.sim.now)
+            self.result_times.append(now)
         if (
             self.config.max_frames is not None
             and self.results_count >= self.config.max_frames
         ):
             self._finish("max-frames")
-        elif self._ff is not None and not self.done.triggered:
+        elif self._ff is not None and self.done._value is _PENDING:
             # Fast-forward hook: a delivery is the cleanest phase point
             # to anchor periodicity detection (and, when two windows
             # match, to warp from — the draw logs and battery states
@@ -743,19 +747,25 @@ class PipelineEngine:
     def _watchdog(self) -> t.Generator:
         """End the run on death-of-all, stall, or horizon."""
         cfg = self.config
-        self._last_progress = self.sim.now
+        sim = self.sim
+        self._last_progress = sim._now
         check = max(cfg.deadline_s, 1.0)
-        while not self.done.triggered:
-            yield self.sim.timeout(check)
-            if all(node.is_dead for node in self.nodes.values()):
+        nodes = list(self.nodes.values())
+        dead = PowerMode.DEAD
+        while self.done._value is _PENDING:
+            yield Timeout(sim, check)
+            n_dead = 0
+            for node in nodes:
+                if node.mode is dead:
+                    n_dead += 1
+            if n_dead == len(nodes):
                 self._finish("all-dead")
                 return
-            stalled_for = self.sim.now - self._last_progress
-            any_dead = any(node.is_dead for node in self.nodes.values())
-            if any_dead and stalled_for > cfg.stall_timeout_s:
+            stalled_for = sim._now - self._last_progress
+            if n_dead and stalled_for > cfg.stall_timeout_s:
                 self._finish("stall")
                 return
-            if self.sim.now >= cfg.horizon_s:
+            if sim._now >= cfg.horizon_s:
                 self._finish("horizon")
                 return
 
@@ -806,25 +816,33 @@ class PipelineEngine:
             )
         profile = self.config.partition.profile
         log = self._log
+        # Segment details ("<block> f<frame>") are read only by the
+        # trace and by attribution buckets (ledger, fast-forward draw
+        # log); skip formatting them when nothing will.
+        detailed = (
+            node.trace is not None
+            or node._ledger is not None
+            or node._draw_log is not None
+        )
         for bi in range(assignment.block_start, assignment.block_stop):
             block = profile.blocks[bi]
-            t0 = self.sim.now
+            t0 = self.sim._now
             yield from node.compute(
                 block.seconds_at_max * frame.scale,
                 level,
                 "proc",
-                detail=f"{block.name} f{frame.id}",
+                detail=f"{block.name} f{frame.id}" if detailed else "",
             )
             if log is not None:
                 # Per-block compute record: the causal tracer rebuilds
                 # Fig. 6's per-block breakdown from these.
                 log.emit(
                     "proc.block",
-                    self.sim.now,
+                    self.sim._now,
                     node.name,
                     frame=frame.id,
                     block=block.name,
-                    duration_s=self.sim.now - t0,
+                    duration_s=self.sim._now - t0,
                     mhz=level.mhz,
                 )
         frame.stages_done += 1
@@ -835,6 +853,13 @@ class PipelineEngine:
         n_stages = len(cfg.roles)
         role = node_index
         migrated = False
+        # role -> (link, peer): a role's neighbours never change, so each
+        # is resolved once (the hub creates a link on its first lookup).
+        up_routes: dict[int, tuple[SerialLink, str]] = {}
+        down_routes: dict[int, tuple[SerialLink, str]] = {}
+        host_ack_s = (
+            cfg.recovery.ack_duration_s(cfg.timing) if cfg.recovery is not None else 0.0
+        )
 
         if role == 0:
             self._set_stage0(node.name)
@@ -844,11 +869,13 @@ class PipelineEngine:
             assignment = rolecfg.assignment
 
             # ---- RECV -------------------------------------------------
-            up_link, up_peer = (
-                (self.hub.host_link(node.name), HOST_NAME)
-                if migrated
-                else self._upstream(node.name, role)
-            )
+            if migrated:
+                up_link, up_peer = self.hub.host_link(node.name), HOST_NAME
+            else:
+                route = up_routes.get(role)
+                if route is None:
+                    route = up_routes[role] = self._upstream(node.name, role)
+                up_link, up_peer = route
             grant = up_link.offer_recv(to=node.name)
             detail = f"from {up_peer}"
             if cfg.recovery is not None and up_peer != HOST_NAME:
@@ -868,8 +895,7 @@ class PipelineEngine:
                 if cfg.recovery is not None and not cfg.recovery.acks_between_nodes_only and not migrated:
                     # Host-facing ack, modelled as pure node-side comm time.
                     yield from node.comm_delay(
-                        cfg.recovery.ack_duration_s(cfg.timing),
-                        rolecfg.io_level, "ack", "to host",
+                        host_ack_s, rolecfg.io_level, "ack", "to host"
                     )
             frame: Frame = transfer.message
 
@@ -900,11 +926,13 @@ class PipelineEngine:
                 yield from self._proc_blocks(node, assignment, rolecfg, frame)
 
             # ---- SEND -------------------------------------------------
-            down_link, down_peer = (
-                (self.hub.host_link(node.name), HOST_NAME)
-                if migrated
-                else self._downstream(node.name, role)
-            )
+            if migrated:
+                down_link, down_peer = self.hub.host_link(node.name), HOST_NAME
+            else:
+                route = down_routes.get(role)
+                if route is None:
+                    route = down_routes[role] = self._downstream(node.name, role)
+                down_link, down_peer = route
             grant = down_link.offer_send(
                 frame, assignment.send_bytes, frm=node.name
             )
@@ -931,8 +959,7 @@ class PipelineEngine:
                     and not cfg.recovery.acks_between_nodes_only
                 ):
                     yield from node.comm_delay(
-                        cfg.recovery.ack_duration_s(cfg.timing),
-                        rolecfg.io_level, "ack", "from host",
+                        host_ack_s, rolecfg.io_level, "ack", "from host"
                     )
             node.frames_processed += 1
 

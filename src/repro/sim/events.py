@@ -8,6 +8,7 @@ events to suspend until they fire.
 
 from __future__ import annotations
 
+import heapq
 import typing as t
 
 from repro.errors import SimulationError
@@ -39,7 +40,10 @@ class Event:
     Events are the unit currency of the kernel — a paper-scale run
     allocates hundreds of thousands — so the hierarchy uses
     ``__slots__`` throughout to keep instances small and attribute
-    access cheap.
+    access cheap, and triggering pushes straight onto the simulator's
+    heap (the same ``(time, seq, event)`` entry
+    :meth:`Simulator.schedule <repro.sim.kernel.Simulator.schedule>`
+    builds) rather than through a method call per event.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exception")
@@ -53,8 +57,13 @@ class Event:
     # -- state inspection ------------------------------------------------
     @property
     def triggered(self) -> bool:
-        """True once the event has been given a value or an exception."""
-        return self._value is not _PENDING or self._exception is not None
+        """True once the event has been given a value or an exception.
+
+        :meth:`fail` sets the value to None beside the exception, so the
+        value alone tells: hot paths read ``_value is not _PENDING``
+        directly instead of calling this property.
+        """
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -89,10 +98,14 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: t.Any = None, *, delay: float = 0.0) -> "Event":
         """Trigger the event with ``value`` after ``delay`` sim-seconds."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         self._value = value
-        self.sim.schedule(self, delay=delay)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim._now + delay, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
@@ -144,10 +157,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: t.Any = None):
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ and Simulator.schedule, inlined: every frame
+        # creates several timeouts.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim.schedule(self, delay=delay)
+        self._exception = None
+        self.delay = delay
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim._now + delay, sim._seq, self))
 
 
 class _Condition(Event):
@@ -162,12 +180,14 @@ class _Condition(Event):
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError("all events must belong to the same simulator")
+        observe = self._observe
         for event in self.events:
-            if event.processed:
-                self._observe(event)
+            callbacks = event.callbacks
+            if callbacks is None:
+                observe(event)
             else:
                 self._pending += 1
-                event.add_callback(self._observe)
+                callbacks.append(observe)
         self._check_empty()
 
     def _check_empty(self) -> None:
@@ -184,7 +204,7 @@ class _Condition(Event):
         return {
             e: e._value
             for e in self.events
-            if e.processed and e._exception is None
+            if e.callbacks is None and e._exception is None
         }
 
 
@@ -198,10 +218,10 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _observe(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event._exception)  # type: ignore[arg-type]
+        if event._exception is not None:
+            self.fail(event._exception)
         else:
             self.succeed(self._result())
 
@@ -216,10 +236,10 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _observe(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event._exception)  # type: ignore[arg-type]
+        if event._exception is not None:
+            self.fail(event._exception)
             return
         self._pending -= 1
         if self._pending <= 0:

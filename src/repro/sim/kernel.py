@@ -177,7 +177,8 @@ class Simulator:
 
             if isinstance(until, Event):
                 stop = until
-                while not stop.processed:
+                # ``stop.processed``, read without the property call.
+                while stop.callbacks is not None:
                     if not heap:
                         raise SimulationError(
                             "event queue drained before the 'until' event fired"

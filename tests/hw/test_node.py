@@ -58,6 +58,67 @@ class TestStateMachine:
         with pytest.raises(ConfigurationError):
             node.set_state(PowerMode.IDLE, FrequencyLevel(100.0, 1.0))
 
+    def test_equal_valued_levels_switch_once(self, sim, tiny_battery):
+        """A level equal to a table level but a distinct object is the
+        same operating point: one switch, one dvs.switch record, and the
+        node holds the table's own object."""
+        from repro.hw.dvs import FrequencyLevel
+        from repro.obs import EventLog
+
+        log = EventLog()
+        node = ItsyNode(
+            sim, "n1", tiny_battery, PAPER_POWER_MODEL, SA1100_TABLE, obs=log
+        )
+        for _ in range(3):
+            node.set_state(PowerMode.COMPUTATION, FrequencyLevel(206.4, 1.393))
+        assert node.level_switches == 1
+        assert node.level is MAX
+        switches = [e for e in log if e.kind == "dvs.switch"]
+        assert [(e.data["from_mhz"], e.data["to_mhz"]) for e in switches] == [
+            (59.0, 206.4)
+        ]
+        assert node.current_ma == PAPER_POWER_MODEL.current_ma(
+            PowerMode.COMPUTATION, MAX
+        )
+
+    def test_currents_follow_level_and_mode(self, node):
+        """Every (mode, level) pair draws the power model's current."""
+        for level in SA1100_TABLE:
+            for mode in (PowerMode.IDLE, PowerMode.COMMUNICATION,
+                         PowerMode.COMPUTATION, PowerMode.SLEEP):
+                node.set_state(mode, level)
+                assert node.current_ma == PAPER_POWER_MODEL.current_ma(mode, level)
+
+
+    def test_stored_death_target_is_always_fresh(self):
+        """set_state skips the battery call after a zero-length segment
+        at an unchanged draw; the target it reuses must equal a fresh
+        computation at every transition of a run to exhaustion."""
+        from repro.core.policies import DVSDuringIOPolicy, PinnedLevelsPolicy
+        from repro.pipeline.engine import PipelineEngine
+        from tests.pipeline.test_engine import make_config
+
+        engine = PipelineEngine(
+            make_config(
+                cuts=(1,),
+                policy=DVSDuringIOPolicy(PinnedLevelsPolicy([73.7, 118.0])),
+                recovery=True,
+            )
+        )
+        checked = []
+        for node in engine.nodes.values():
+
+            def set_state(*args, _node=node, _set=node.set_state, **kwargs):
+                _set(*args, **kwargs)
+                bound = _node.battery.time_to_death_lower_bound(_node._current_ma)
+                assert _node._death_target == _node._segment_start + bound
+                checked.append(_node.name)
+
+            node.set_state = set_state
+        result = engine.run()
+        assert result.end_reason == "all-dead"
+        assert len(checked) > 1000
+
 
 class TestCompute:
     def test_compute_scales_with_level(self, sim, node):
