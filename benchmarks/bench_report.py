@@ -289,39 +289,6 @@ def bench_explore(quick: bool = False) -> dict:
     }
 
 
-def bench_explore_guided(quick: bool = False) -> dict:
-    """The model-guided sampler on the same space: how much of the
-    universe the surrogate actually had to look at to land the same
-    frontier the exhaustive driver confirms."""
-    from repro.explore import default_space, explore
-
-    if quick:
-        space = default_space(
-            bandwidth_points=2, capacity_points=3, io_points=3
-        )
-        keep = (64, 6, 2)
-    else:
-        space = default_space()
-        keep = (512, 16, 6)
-    t0 = time.perf_counter()
-    result = explore(space, keep=keep, guided=True)
-    wall = time.perf_counter() - t0
-    sampler = result.sampler or {}
-    return {
-        "configs": result.n_configs,
-        "keep": list(keep),
-        "wall_s": round(wall, 2),
-        "configs_considered": sampler.get("probed", 0),
-        "sampler_proposals": sampler.get("proposals", 0),
-        "sampler_rounds": sampler.get("rounds", 0),
-        "stop_reason": sampler.get("stop_reason", ""),
-        "probed_pct": round(
-            100.0 * sampler.get("probed", 0) / max(1, result.n_configs), 2
-        ),
-        "frontier_size": len(result.frontier),
-    }
-
-
 def bench_obs(frames: int = 40, emits: int = 200_000) -> dict:
     """Telemetry layer: raw emit throughput plus whole-run overheads."""
     from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
@@ -599,7 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         "flight": bench_flight(),
         "batch_sweep": bench_batch_sweep(grid=4 if args.quick else 10),
         "explore": bench_explore(quick=args.quick),
-        "explore_guided": bench_explore_guided(quick=args.quick),
     }
     if not args.quick:
         cpus = os.cpu_count() or 1

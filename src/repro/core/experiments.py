@@ -29,8 +29,6 @@ import dataclasses
 import os
 import typing as t
 
-import warnings
-
 from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
 from repro.core.metrics import ExperimentMetrics
 from repro.core.policies import (
@@ -712,12 +710,8 @@ def run_paper_suite(
         :class:`repro.exec.ResultCache` at ``.repro-cache``; or pass a
         configured :class:`~repro.exec.ResultCache`. Traced, monitored,
         and telemetry-carrying runs are cached too — their recorders
-        round-trip through the payload. The only uncached path is a
-        *shared* ``TraceRecorder``/``Telemetry`` instance passed in by
-        the caller (deprecated: it forces serial execution because
-        worker processes cannot append to the caller's object). Cached
-        entries are keyed by the full configuration, so any parameter
-        change is a miss.
+        round-trip through the payload. Cached entries are keyed by the
+        full configuration, so any parameter change is a miss.
     registry:
         Optional :class:`repro.obs.RunRegistry` (or database path).
         Every run is registered in label order, always in the parent
@@ -735,21 +729,12 @@ def run_paper_suite(
     if unknown:
         raise ConfigurationError(f"unknown experiment labels: {unknown}")
 
-    trace = kwargs.get("trace")
-    telemetry = kwargs.get("telemetry")
-    shared_recorder = not isinstance(trace, (bool, type(None))) or not isinstance(
-        telemetry, (bool, type(None))
-    )
-    if shared_recorder:
-        warnings.warn(
-            "passing a shared TraceRecorder/Telemetry instance to "
-            "run_paper_suite forces serial, uncached execution; use "
-            "trace=True / telemetry=True for per-run recorders that "
-            "parallelize and cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        jobs = 1
+    for name in ("trace", "telemetry"):
+        if not isinstance(kwargs.get(name), (bool, type(None))):
+            raise ConfigurationError(
+                f"run_paper_suite builds per-run recorders that parallelize "
+                f"and cache: pass {name}=True, not a recorder instance"
+            )
 
     if jobs <= 1 and not cache and flight is None:
         runs = {lb: run_experiment(PAPER_EXPERIMENTS[lb], **kwargs) for lb in labels}
@@ -762,9 +747,8 @@ def run_paper_suite(
 
     if cache is True:
         cache = ResultCache()
-    cacheable = not shared_recorder
     keys = None
-    if cache and cacheable:
+    if cache:
         keys = [
             cache.key_for(
                 "run_experiment",

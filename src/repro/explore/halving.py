@@ -34,13 +34,11 @@ deadline misses) before scalar score, so a config that trades lifetime
 for throughput is confirmed in exact mode instead of being buried by a
 scalar sort (:func:`repro.explore.pareto.pareto_layers`).
 
-Rung 0 has two drivers. The exhaustive driver enumerates and scores the
-whole space — right up to ~10^5 configs. Past that, ``guided=True``
-switches to the model-guided sampler (:mod:`repro.explore.surrogate`),
-which keeps the space implicit and proposes batches from a quantized
-effect surrogate until the stratified top set is stable and closed
-under single-axis moves; every score still comes from the same
-analytic prescreen, so both drivers feed identical numbers forward.
+Rung 0 scores every config of the space (or of its ``limit``
+subsample) without building one Python object per config: enumeration
+indices decode to per-axis digits in numpy blocks, the few hundred
+schedule structures and few thousand drain factors are memoized, and
+only each block's stratified top set survives to become candidates.
 
 Determinism contract
 --------------------
@@ -49,9 +47,9 @@ and cache-replayed executions because every ingredient is: enumeration
 order and indices are fixed by the space; promotion sorts on
 ``(-score, index)``; workers return JSON-round-trippable payloads the
 parent folds in input order; and no wall-clock or scheduling value
-enters scores, verdicts, records, or the export payload. The guided
-sampler and the budget controller keep the contract — no RNG, ties on
-enumeration index — and ``resume=`` extends it across process deaths:
+enters scores, verdicts, records, or the export payload. The budget
+controller keeps the contract — no RNG, ties on enumeration index —
+and ``resume=`` extends it across process deaths:
 each completed rung persists a cursor (promoted set, scores, verdicts)
 through the registry's explore-session snapshots, and a resumed run
 replays that cursor into exactly the state an uninterrupted run would
@@ -63,6 +61,8 @@ from __future__ import annotations
 import dataclasses
 import time
 import typing as t
+
+import numpy as np
 
 from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
 from repro.core.optimizer import duty_cycle_currents, resolve_roles
@@ -77,12 +77,12 @@ from repro.exec.cache import ResultCache, stable_key
 from repro.explore.budget import allocate_budgets, rank_disagreement
 from repro.explore.pareto import OBJECTIVES, pareto_indices, pareto_layers
 from repro.explore.space import (
+    AXES,
     ExploreConfig,
     PEUKERT_EXPONENT,
     PEUKERT_REFERENCE_MA,
     SpaceSpec,
 )
-from repro.explore.surrogate import guided_sample
 from repro.hw.power import PowerMode
 from repro.obs.checks import (
     Verdict,
@@ -194,9 +194,6 @@ class ExploreResult:
     survivors: tuple[FrontierMember, ...]
     disqualified: dict[str, int]
     wall_s: float
-    #: Guided-sampler accounting (:meth:`GuidedReport.content` form), or
-    #: None for the exhaustive rung-0 driver.
-    sampler: dict[str, t.Any] | None = None
     #: How many rungs were replayed from a resume cursor (telemetry).
     resumed_rungs: int = 0
 
@@ -216,17 +213,11 @@ class ExploreResult:
         return 1.0 - sim_entered / self.n_configs
 
     def frontier_payload(self) -> dict[str, t.Any]:
-        """The deterministic export: byte-identical across modes.
-
-        ``sampler`` is deterministic guided-mode accounting (None for
-        the exhaustive driver); the ``frontier`` array is the portion
-        the two drivers are expected to agree on byte-for-byte.
-        """
+        """The deterministic export: byte-identical across modes."""
         return {
             "space": {"size": self.n_configs, "fingerprint": self.fingerprint},
             "keep": list(self.keep),
             "objectives": [[name, sense] for name, sense in OBJECTIVES],
-            "sampler": self.sampler,
             "rungs": [r.content() for r in self.rungs],
             "disqualified": dict(sorted(self.disqualified.items())),
             "frontier": [m.as_dict() for m in self.frontier],
@@ -249,6 +240,10 @@ class _Candidate:
 # ---------------------------------------------------------------------------
 # rung 0: analytic prescreen
 # ---------------------------------------------------------------------------
+
+#: Enumeration indices decoded per numpy block at rung 0.
+_BLOCK = 1 << 16
+
 
 def _peukert_rate(current_ma: float) -> float:
     """Effective Peukert drain rate (must mirror PeukertBattery)."""
@@ -280,55 +275,121 @@ def _config_structure(
     )
 
 
+def _drain_factors(
+    config: ExploreConfig, cycles: tuple[tuple, ...]
+) -> tuple[float, float, float, float]:
+    """Rung-0 score per mAh of capacity for one (structure, io_activity).
+
+    Returns ``(plain, plain rotating, peukert, peukert rotating)``:
+    without rotation the critical stage decides, with it every node
+    sees the concatenated cycle.
+    """
+    power = config.power_model()
+    current_cycles = [duty_cycle_currents(cycle, power) for cycle in cycles]
+    plain = [sum(i * dt for i, dt in c) for c in current_cycles]
+    peuk = [
+        sum(_peukert_rate(i) * dt for i, dt in c) for c in current_cycles
+    ]
+    n = len(cycles)
+    d = config.deadline_s
+    return (
+        d / (max(plain) * n),
+        d / sum(plain),
+        d / (max(peuk) * n),
+        d / sum(peuk),
+    )
+
+
 def _prescreen(
     space: SpaceSpec,
-    configs: t.Sequence[ExploreConfig],
+    limit: int | None,
+    keep: int,
     report: RungReport,
     disqualified: dict[str, int],
-    structures: dict[tuple, tuple] | None = None,
-    drains: dict[tuple, tuple[float, float, float, float]] | None = None,
 ) -> list[_Candidate]:
-    """Rung 0: score every config analytically; drop infeasible ones.
+    """Rung 0: score the space analytically, drop infeasible configs, promote.
 
     Structure (roles and segment durations) depends only on (policy,
-    cut, bandwidth, deadline); currents additionally on io_activity —
-    so a 100k-config space collapses to a few hundred structure
-    resolutions and a few thousand current evaluations, with each
-    config just an O(1) capacity/chemistry lookup on top.
+    cut, bandwidth, deadline); currents additionally on io_activity.
+    So a 10^6-config space collapses to a few hundred structure
+    resolutions and a few thousand drain evaluations, memoized here in
+    Python, while the per-config work is numpy arithmetic over blocks
+    of enumeration indices decoded to per-axis digits: three verdict
+    masks (rotation feasibility, then schedule, then link budget) and
+    ``capacity_mah * factor[chemistry, rotating]``, the same IEEE
+    multiply the scalar expression does.
 
-    Report counts accumulate, and the memo dicts can be supplied by the
-    caller — the guided sampler scores the space in many small batches
-    and must not redo structure resolutions (or double-count) per batch.
+    Each block keeps only its top ``keep`` per deadline stratum by
+    ``(-score, index)`` — a superset of anything :func:`_promote` can
+    take — so ``ExploreConfig`` objects are built for survivors only.
     """
-    # structure key -> ("ok", cycles, comm_s) | ("fail", Verdict)
-    if structures is None:
-        structures = {}
-    # (structure key, io_activity) -> (k_norot_plain, k_rot_plain,
-    #                                  k_norot_peukert, k_rot_peukert)
-    if drains is None:
-        drains = {}
-    out: list[_Candidate] = []
-    for config in configs:
-        if config.rotation_period is not None and config.n_stages < 2:
-            verdict = static_verdict(
-                "rotation-feasibility", False,
-                "rotation needs a pipeline of at least two nodes",
+    radices = space.radices()
+    _, n_cut, _, n_bw, _, _, n_io, n_dl = radices
+    periods = space.axis_values("rotation_period")
+    # [cut digit, rotation digit]: rotation needs at least two nodes.
+    no_rotation = np.array([
+        [p is not None and not cut for p in periods]
+        for cut in space.axis_values("cut")
+    ])
+    rotating = np.array([p is not None for p in periods], dtype=np.int64)
+    peukert = np.array(
+        [c == "peukert" for c in space.axis_values("chemistry")],
+        dtype=np.int64,
+    )
+    capacity = np.array(space.axis_values("capacity_mah"), dtype=np.float64)
+    stratum = np.unique(
+        np.array(space.axis_values("deadline_s"), dtype=np.float64),
+        return_inverse=True,
+    )[1]
+    # Per structure id: -1 unresolved, 0 feasible, 1 disqualified.
+    status = np.full(radices[0] * n_cut * n_bw * n_dl, -1, dtype=np.int8)
+    verdicts: dict[int, Verdict] = {}
+    structures: dict[int, tuple] = {}
+    # Per (structure id, io digit): the four _drain_factors.
+    factors = np.zeros((len(status) * n_io, 4))
+    have_factors = np.zeros(len(status) * n_io, dtype=bool)
+
+    n = space.size()
+    if limit is None:
+        blocks = (
+            np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
+            for start in range(0, n, _BLOCK)
+        )
+    else:
+        chosen = np.array(space.indices(limit), dtype=np.int64)
+        blocks = (
+            chosen[start : start + _BLOCK]
+            for start in range(0, len(chosen), _BLOCK)
+        )
+    top_index = np.zeros(0, dtype=np.int64)
+    top_score = np.zeros(0)
+    seen = 0
+    for index in blocks:
+        seen += len(index)
+        digits: list[t.Any] = [None] * len(AXES)
+        rem = index
+        for pos in range(len(AXES) - 1, -1, -1):
+            rem, digits[pos] = np.divmod(rem, radices[pos])
+        policy, cut, period, bw, chem, cap, io, dl = digits
+        struct = ((policy * n_cut + cut) * n_bw + bw) * n_dl + dl
+
+        rotation_ok = ~no_rotation[cut, period]
+        n_bad = len(index) - int(rotation_ok.sum())
+        if n_bad:
+            disqualified["rotation-feasibility"] = (
+                disqualified.get("rotation-feasibility", 0) + n_bad
             )
-            disqualified[verdict.monitor] = (
-                disqualified.get(verdict.monitor, 0) + 1
-            )
-            report.disqualified += 1
-            continue
-        skey = (config.policy, config.cut, config.bandwidth_bps, config.deadline_s)
-        entry = structures.get(skey)
-        if entry is None:
+            report.disqualified += n_bad
+        ids, first = np.unique(struct[rotation_ok], return_index=True)
+        fresh = status[ids] < 0
+        for sid, i in zip(
+            ids[fresh].tolist(), index[rotation_ok][first[fresh]].tolist()
+        ):
+            config = space.config_at(i)
             try:
                 cycles = _config_structure(config, space.profile)
             except (InfeasiblePartitionError, ScheduleError, ConfigurationError) as exc:
-                entry = (
-                    "fail",
-                    static_verdict("schedule-feasibility", False, str(exc)),
-                )
+                verdict = static_verdict("schedule-feasibility", False, str(exc))
             else:
                 comm_s = max(
                     sum(
@@ -338,52 +399,54 @@ def _prescreen(
                     )
                     for cycle in cycles
                 )
-                link = static_link_budget_verdict(comm_s, config.deadline_s)
-                entry = ("fail", link) if not link.ok else ("ok", cycles, comm_s)
-            structures[skey] = entry
-        if entry[0] == "fail":
-            verdict: Verdict = entry[1]
-            disqualified[verdict.monitor] = (
-                disqualified.get(verdict.monitor, 0) + 1
-            )
-            report.disqualified += 1
-            continue
-        cycles = entry[1]
-        dkey = (skey, config.io_activity)
-        factors = drains.get(dkey)
-        if factors is None:
-            power = config.power_model()
-            current_cycles = [
-                duty_cycle_currents(cycle, power) for cycle in cycles
-            ]
-            plain = [sum(i * dt for i, dt in c) for c in current_cycles]
-            peuk = [
-                sum(_peukert_rate(i) * dt for i, dt in c)
-                for c in current_cycles
-            ]
-            n = len(cycles)
-            d = config.deadline_s
-            factors = (
-                d / (max(plain) * n),  # no rotation: critical stage decides
-                d / sum(plain),  # rotation: every node sees the concat cycle
-                d / (max(peuk) * n),
-                d / sum(peuk),
-            )
-            drains[dkey] = factors
-        rotating = config.rotation_period is not None
-        if config.chemistry == "peukert":
-            k = factors[3] if rotating else factors[2]
-        else:
-            # KiBaM delivers less than rated capacity at high rates, but
-            # the plain average-current bound preserves ranking — which
-            # is all a prescreen needs.
-            k = factors[1] if rotating else factors[0]
-        out.append(
-            _Candidate(config=config, score=config.capacity_mah * k)
+                verdict = static_link_budget_verdict(comm_s, config.deadline_s)
+                structures[sid] = cycles
+            status[sid] = 0 if verdict.ok else 1
+            verdicts[sid] = verdict
+
+        ok = rotation_ok & (status[struct] == 0)
+        failed = np.bincount(
+            struct[rotation_ok & ~ok], minlength=len(status)
         )
-    report.evaluated += len(configs)
-    report.executed += len(configs)
-    return out
+        for sid in np.flatnonzero(failed).tolist():
+            monitor = verdicts[sid].monitor
+            disqualified[monitor] = disqualified.get(monitor, 0) + int(
+                failed[sid]
+            )
+            report.disqualified += int(failed[sid])
+
+        pos = np.flatnonzero(ok)
+        drain = struct[pos] * n_io + io[pos]
+        keys, first = np.unique(drain, return_index=True)
+        fresh = ~have_factors[keys]
+        for key, i in zip(keys[fresh].tolist(), index[pos[first[fresh]]].tolist()):
+            factors[key] = _drain_factors(
+                space.config_at(i), structures[key // n_io]
+            )
+        have_factors[keys] = True
+        # KiBaM delivers less than rated capacity at high rates, but the
+        # plain average-current bound preserves ranking — which is all
+        # a prescreen needs; only Peukert takes its own drain.
+        score = capacity[cap[pos]] * factors[
+            drain, 2 * peukert[chem[pos]] + rotating[period[pos]]
+        ]
+
+        pool_index = np.concatenate([top_index, index[pos]])
+        pool_score = np.concatenate([top_score, score])
+        pool_stratum = stratum[pool_index % n_dl]
+        order = np.lexsort((pool_index, -pool_score, pool_stratum))
+        ranked = pool_stratum[order]
+        rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+        take = order[rank < keep]
+        top_index, top_score = pool_index[take], pool_score[take]
+
+    report.evaluated = seen
+    report.executed = seen
+    candidates = [
+        _Candidate(config=space.config_at(i), score=s)
+        for i, s in zip(top_index.tolist(), top_score.tolist())
+    ]
+    return _promote(candidates, keep, report)
 
 
 def _promote(
@@ -779,14 +842,16 @@ def _sim_rung(
 # resume cursors
 # ---------------------------------------------------------------------------
 
+#: Bumped when the cursor layout changes; other versions never resume.
+_CURSOR_VERSION = 2
+
+
 def _cursor_payload(
-    mode: str,
     keep: tuple[int, int, int],
     limit: int | None,
     n_configs: int,
     rungs: list[RungReport],
     disqualified: dict[str, int],
-    sampler: dict[str, t.Any] | None,
     candidates: list[_Candidate],
 ) -> dict[str, t.Any]:
     """The resumable state after one completed rung — pure content.
@@ -799,15 +864,13 @@ def _cursor_payload(
     written, stored, and restored reproduces bit-identical state.
     """
     return {
-        "version": 1,
-        "mode": mode,
+        "version": _CURSOR_VERSION,
         "keep": list(keep),
         "limit": limit,
         "n_configs": n_configs,
         "rung": rungs[-1].name,
         "rungs": [r.content() for r in rungs],
         "disqualified": dict(sorted(disqualified.items())),
-        "sampler": sampler,
         "candidates": [
             [
                 c.config.index,
@@ -827,31 +890,28 @@ def _restore_cursor(
     space: SpaceSpec,
     keep: tuple[int, int, int],
     limit: int | None,
-    mode: str,
     n_configs: int,
     resume: dict[str, t.Any],
-) -> tuple[
-    list[RungReport],
-    dict[str, int],
-    list[_Candidate],
-    dict[str, t.Any] | None,
-    int,
-]:
+) -> tuple[list[RungReport], dict[str, int], list[_Candidate], int]:
     """Validate and decode a resume cursor against this invocation.
 
-    The cursor must describe the same exploration — same driver mode,
-    budgets, limit, and universe size (the space itself is pinned by
-    the caller matching fingerprints) — or resuming would silently mix
-    two different ladders. Returns ``(rungs, disqualified, candidates,
-    sampler, completed_rungs)``.
+    The cursor must describe the same exploration — same budgets,
+    limit, and universe size (the space itself is pinned by the caller
+    matching fingerprints) — or resuming would silently mix two
+    different ladders. Returns ``(rungs, disqualified, candidates,
+    completed_rungs)``.
     """
     if not isinstance(resume, dict) or "rung" not in resume:
         raise ConfigurationError(
             "resume cursor must be a dict with rung state (got "
             f"{type(resume).__name__})"
         )
+    if resume.get("version") != _CURSOR_VERSION:
+        raise ConfigurationError(
+            f"resume cursor version {resume.get('version')!r} is not "
+            f"{_CURSOR_VERSION}; re-run without --resume"
+        )
     for field, want in (
-        ("mode", mode),
         ("keep", list(keep)),
         ("limit", limit),
         ("n_configs", n_configs),
@@ -898,7 +958,7 @@ def _restore_cursor(
         )
         for row in resume.get("candidates", [])
     ]
-    return rungs, disqualified, candidates, resume.get("sampler"), completed
+    return rungs, disqualified, candidates, completed
 
 
 # ---------------------------------------------------------------------------
@@ -909,18 +969,12 @@ def explore_fingerprint(
     space: SpaceSpec,
     keep: tuple[int, int, int],
     limit: int | None,
-    *,
-    guided: bool = False,
 ) -> str:
     """The session fingerprint :func:`explore` files registry rows under.
 
     Exposed so callers (the CLI's ``--resume latest``) can locate a
-    prior session's cursor without re-running anything. Guided and
-    exhaustive sessions fingerprint differently on purpose: their rung-0
-    telemetry differs even though their frontiers agree.
+    prior session's cursor without re-running anything.
     """
-    if guided:
-        return stable_key("explore", space, tuple(keep), limit, "guided")
     return stable_key("explore", space, tuple(keep), limit)
 
 
@@ -934,8 +988,6 @@ def explore(
     limit: int | None = None,
     progress: t.Callable[[RungReport], None] | None = None,
     flight: t.Any = None,
-    guided: bool = False,
-    probe: int = 2048,
     resume: dict[str, t.Any] | None = None,
 ) -> ExploreResult:
     """Resolve a design space to its Pareto frontier.
@@ -958,7 +1010,7 @@ def explore(
         Configs per rung-1 cohort chunk (one cache entry each).
     limit:
         Deterministically subsample the space to at most this many
-        configs before rung 0.
+        configs (at least 1) before rung 0.
     progress:
         Called with each rung's :class:`RungReport` as it completes.
     flight:
@@ -966,14 +1018,6 @@ def explore(
         the rung executor (per-item journal, heartbeats) and opens one
         recorder phase per rung so live progress shows the halving
         ladder.
-    guided:
-        Drive rung 0 with the model-guided sampler instead of
-        exhaustive enumeration — the space is never materialized, so
-        10^6+ spaces reach the ladder in bounded memory. Scores still
-        come from the same analytic prescreen.
-    probe:
-        Guided mode only: size of the initial stratified probe batch
-        (and of each subsequent proposal round).
     resume:
         A cursor from a previous session's explore snapshot (see
         ``RunRegistry.latest_explore_cursor``). Completed rungs are
@@ -989,25 +1033,16 @@ def explore(
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     started = time.perf_counter()
-    mode = "guided" if guided else "full"
-    fingerprint = explore_fingerprint(space, keep, limit, guided=guided)
-    if guided:
-        configs: list[ExploreConfig] | None = None
-        n_configs = (
-            len(space.indices(limit)) if limit is not None else space.size()
-        )
-    else:
-        configs = space.configs(limit=limit)
-        n_configs = len(configs)
+    fingerprint = explore_fingerprint(space, keep, limit)
+    n_configs = len(space.indices(limit)) if limit is not None else space.size()
     executor = SweepExecutor(jobs=jobs, cache=cache, flight=flight)
     disqualified: dict[str, int] = {}
     rungs: list[RungReport] = []
     candidates: list[_Candidate] = []
-    sampler_content: dict[str, t.Any] | None = None
     completed = 0
     if resume is not None:
-        rungs, disqualified, candidates, sampler_content, completed = (
-            _restore_cursor(space, keep, limit, mode, n_configs, resume)
+        rungs, disqualified, candidates, completed = _restore_cursor(
+            space, keep, limit, n_configs, resume
         )
 
     def finish_rung(report: RungReport, t0: float) -> None:
@@ -1028,47 +1063,22 @@ def explore(
                     [r.content() for r in rungs],
                     git_sha=git_revision(),
                     cursor=_cursor_payload(
-                        mode, tuple(keep), limit, n_configs, rungs,
-                        disqualified, sampler_content, candidates,
+                        tuple(keep), limit, n_configs, rungs,
+                        disqualified, candidates,
                     ),
                 )
             )
         if progress is not None:
             progress(report)
 
-    # rung 0: analytic prescreen (exhaustive or model-guided)
+    # rung 0: analytic prescreen
     if completed < 1:
         t0 = time.perf_counter()
         predict_phase = None
         if flight is not None:
-            predict_phase = flight.phase(
-                "predict", total=None if guided else n_configs
-            )
+            predict_phase = flight.phase("predict", total=n_configs)
         report = RungReport("predict", entered=n_configs)
-        if guided:
-            structures: dict[tuple, tuple] = {}
-            drains: dict[tuple, tuple[float, float, float, float]] = {}
-            by_index: dict[int, _Candidate] = {}
-
-            def evaluate(indices: list[int]) -> list[float | None]:
-                batch = [space.config_at(i) for i in indices]
-                found = _prescreen(
-                    space, batch, report, disqualified, structures, drains
-                )
-                got = {c.config.index: c for c in found}
-                by_index.update(got)
-                return [
-                    got[i].score if i in got else None for i in indices
-                ]
-
-            scores, guided_report = guided_sample(
-                space, keep[0], evaluate, limit=limit, probe=probe,
-            )
-            sampler_content = guided_report.content()
-            candidates = [by_index[i] for i in sorted(scores)]
-        else:
-            candidates = _prescreen(space, configs, report, disqualified)
-        candidates = _promote(candidates, keep[0], report)
+        candidates = _prescreen(space, limit, keep[0], report, disqualified)
         if predict_phase is not None:
             # The prescreen is vectorized-analytic (no executor items),
             # so tick its bar wholesale when it completes.
@@ -1141,7 +1151,6 @@ def explore(
         survivors=survivors,
         disqualified=disqualified,
         wall_s=time.perf_counter() - started,
-        sampler=sampler_content,
         resumed_rungs=completed,
     )
     if registry is not None:
@@ -1156,8 +1165,8 @@ def explore(
                 [m.as_dict() for m in frontier],
                 git_sha=git_revision(),
                 cursor=_cursor_payload(
-                    mode, tuple(keep), limit, n_configs, rungs,
-                    disqualified, sampler_content, candidates,
+                    tuple(keep), limit, n_configs, rungs,
+                    disqualified, candidates,
                 ),
             )
         )

@@ -356,7 +356,8 @@ class SpaceSpec:
         a mixed-radix number with the last axis as the least-significant
         digit; decoding is plain ``divmod`` — no materialization.
         """
-        n = self.size()
+        radices = self.radices()
+        n = math.prod(radices)
         if not 0 <= index < n:
             raise ConfigurationError(
                 f"config index {index} outside space of {n} configs"
@@ -364,14 +365,14 @@ class SpaceSpec:
         digits = [0] * len(AXES)
         rem = index
         for pos in range(len(AXES) - 1, -1, -1):
-            rem, digits[pos] = divmod(rem, len(self.axis_values(AXES[pos])))
+            rem, digits[pos] = divmod(rem, radices[pos])
         return tuple(digits)
 
     def config_at(self, index: int) -> ExploreConfig:
         """The config at one enumeration index, without enumerating.
 
         ``space.config_at(i)`` equals ``space.configs()[i]`` for every
-        valid ``i`` (tests pin this) — it is how the guided sampler and
+        valid ``i`` (tests pin this) — it is how rung 0's survivors and
         ``--resume`` touch 10^6+ spaces one config at a time.
         """
         digits = self.digits_at(index)
@@ -389,9 +390,12 @@ class SpaceSpec:
         With no ``limit`` this is the full range; with one, the same
         evenly strided subsample — computed arithmetically, so callers
         can reason about a capped huge space without building it.
+        A ``limit`` below 1 is an error, not a request for everything.
         """
+        if limit is not None and limit < 1:
+            raise ConfigurationError(f"limit must be >= 1, got {limit}")
         n = self.size()
-        if limit is not None and 0 < limit < n:
+        if limit is not None and limit < n:
             return sorted(
                 {round(i * (n - 1) / (limit - 1)) for i in range(limit)}
                 if limit > 1
@@ -406,13 +410,14 @@ class SpaceSpec:
         enumeration, keeping each config's original index), so a capped
         exploration of a huge space is still reproducible.
         """
+        chosen = self.indices(limit) if limit is not None else None
         values = [self.axis_values(name) for name in AXES]
         configs = [
             ExploreConfig(index, *combo)
             for index, combo in enumerate(itertools.product(*values))
         ]
-        if limit is not None and 0 < limit < len(configs):
-            configs = [configs[i] for i in self.indices(limit)]
+        if chosen is not None and len(chosen) < len(configs):
+            configs = [configs[i] for i in chosen]
         return configs
 
 

@@ -88,59 +88,31 @@ class TestRunner:
             run_paper_suite(["7Z"])
 
 
-class TestSharedRecorderDeprecation:
-    """The shared-instance recorder path: deprecated but not broken.
+class TestSharedRecorderRejected:
+    """run_paper_suite builds its recorders per run, in the worker.
 
-    Passing a caller-owned TraceRecorder/Telemetry into run_paper_suite
-    must warn (it forces serial, uncached execution) while still
-    producing results identical to the preferred per-run recorder path.
+    A caller-owned TraceRecorder/Telemetry instance cannot be filled by
+    worker processes or the cache, so it is refused outright.
     """
 
     _KW = dict(battery_factory=tiny_battery_factory, max_frames=10)
 
-    def test_shared_trace_recorder_warns(self):
+    def test_shared_trace_recorder_rejected(self):
         from repro.sim import TraceRecorder
 
-        with pytest.warns(DeprecationWarning, match="shared"):
+        with pytest.raises(ConfigurationError, match="trace=True"):
             run_paper_suite(["2"], trace=TraceRecorder(), **self._KW)
 
-    def test_shared_telemetry_warns(self):
+    def test_shared_telemetry_rejected(self):
         from repro.obs import Telemetry
 
-        with pytest.warns(DeprecationWarning, match="per-run recorders"):
+        with pytest.raises(ConfigurationError, match="telemetry=True"):
             run_paper_suite(["2"], jobs=4, telemetry=Telemetry(), **self._KW)
 
-    def test_per_run_bool_flags_do_not_warn(self):
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error", DeprecationWarning)
-            run_paper_suite(["2"], trace=True, telemetry=True, **self._KW)
-
-    def test_shared_path_results_match_per_run_path(self):
-        """Identical simulation outcomes and telemetry either way."""
-        from repro.obs import Telemetry
-        from repro.sim import TraceRecorder
-
-        shared_obs = Telemetry()
-        shared_trace = TraceRecorder()
-        with pytest.warns(DeprecationWarning):
-            shared = run_paper_suite(
-                ["2"], trace=shared_trace, telemetry=shared_obs, **self._KW
-            )["2"]
-        per_run = run_paper_suite(
-            ["2"], trace=True, telemetry=True, **self._KW
-        )["2"]
-
-        assert shared.frames == per_run.frames
-        assert shared.t_hours == per_run.t_hours
-        assert shared.pipeline.death_times_s == per_run.pipeline.death_times_s
-        assert shared.pipeline.late_results == per_run.pipeline.late_results
-        # The shared objects were filled with the same telemetry the
-        # per-run recorders captured.
-        assert shared_obs.events.as_dict() == per_run.obs.events.as_dict()
-        assert shared_obs.metrics.as_dict() == per_run.obs.metrics.as_dict()
-        assert shared_trace.as_dict() == per_run.trace.as_dict()
+    def test_per_run_bool_flags_run(self):
+        run = run_paper_suite(["2"], trace=True, telemetry=True, **self._KW)["2"]
+        assert run.trace.all_segments()
+        assert run.obs is not None
 
 
 class TestMetricsAndSummary:

@@ -6,14 +6,22 @@ same byte-identity contract the CI explore-smoke job enforces on the
 CLI artifact.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache
-from repro.explore import Axis, SpaceSpec, explore
-from repro.explore.halving import RUNGS, _bucket_walk, _peukert_rate
+from repro.explore import Axis, SpaceSpec, default_space, explore
+from repro.explore import halving
+from repro.explore.halving import (
+    RUNGS,
+    RungReport,
+    _bucket_walk,
+    _peukert_rate,
+    _prescreen,
+)
 from repro.hw.battery.peukert import PeukertBattery
 from repro.obs.store import RunRegistry
 
@@ -28,6 +36,104 @@ def small_space(**overrides) -> SpaceSpec:
     )
     axes.update(overrides)
     return SpaceSpec(axes=tuple(a for a in axes.values() if a is not None))
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+#: Rung-0 outputs captured from the per-config scalar prescreen that the
+#: block-vectorized one replaced: (space, limit, keep) -> promoted count,
+#: first indices, SHA-256 of repr() of the promoted indices and of their
+#: scores, the disqualification tally, and RungReport.content().
+#: "chemistries" and "link_budget" keep more than the space holds, so
+#: every score that survives the static verdicts is pinned.
+RUNG0_PINS = {
+    "default": (
+        lambda: default_space(), None, 512,
+        512, [70548, 70549, 70550, 70551, 70552],
+        "cc1f324b3aaada3f0eb0d4ed92c80f0f9b0aabd90e880c6fe51399632546917e",
+        "097d6acfba820419e90029c9e15bcdf1cf9e6f733c53ada6901c38b7dbaa60ce",
+        {"rotation-feasibility": 21600, "schedule-feasibility": 33264},
+        (103680, 103680, 54864, 512),
+    ),
+    "chemistries": (
+        lambda: default_space(
+            bandwidth_points=2, capacity_points=3, io_points=3,
+            chemistries=("kibam", "linear", "peukert"), deadlines=(2.3, 3.0),
+        ),
+        None, 8000,
+        3564, [5287, 2695, 5289, 5251, 5269],
+        "25c62bb6ca5466e2fe8850c872be08df83f597c537754fffd88a70be9b231f8d",
+        "68c703becabad2d7d765a1d11f4609a529522fa73a70ebc9b43c64f1baa5ba9b",
+        {"rotation-feasibility": 1620, "schedule-feasibility": 2592},
+        (7776, 7776, 4212, 3564),
+    ),
+    "link_budget": (
+        # At 5 kbps and D = 17.5 s, three structures fit a schedule but
+        # keep the link busier than the 98% budget.
+        lambda: SpaceSpec(axes=(
+            Axis.choice("policy", "baseline", "slowest", "dvs_io"),
+            Axis.choice("cut", (), (1,), (2,), (3,)),
+            Axis.choice("rotation_period", None, 50),
+            Axis.choice("bandwidth_bps", 5_000.0, 80_000.0),
+            Axis.grid("capacity_mah", 300.0, 1200.0, 3),
+            Axis.choice("io_activity", 0.1, 0.5),
+            Axis.choice("deadline_s", 2.3, 17.5, 18.0),
+        )),
+        None, 1000,
+        396, [320, 608, 319, 607, 323],
+        "57338b4d669758f20bff0419591033f0b6abdcac20c5d8798f59e2672b7704e1",
+        "16ff095b4807077f687c1a0792ee0afd2387ecb44401f95cfed4eadf4cc99f43",
+        {
+            "link-busy-fraction": 36,
+            "rotation-feasibility": 108,
+            "schedule-feasibility": 324,
+        },
+        (864, 864, 468, 396),
+    ),
+    "limit": (
+        lambda: default_space(deadlines=(1.8, 2.3, 3.0)), 4000, 512,
+        512, [210782, 107102, 211637, 209459, 211559],
+        "1249836262e03e8a118ca9fe43a8795c80a713eb374871d524b723d0e88de044",
+        "329a267e87884dcf16fac273ce671e3cb97aff8b7e67ec31c5be5949e16405ab",
+        {"rotation-feasibility": 834, "schedule-feasibility": 1349},
+        (4000, 4000, 2183, 512),
+    ),
+}
+
+
+class TestRung0Pinned:
+    def _check(self, name):
+        (
+            make, limit, keep, n, head, indices_sha, scores_sha,
+            disqualified, counts,
+        ) = RUNG0_PINS[name]
+        space = make()
+        entered = len(space.indices(limit)) if limit else space.size()
+        report = RungReport("predict", entered=entered)
+        tally: dict[str, int] = {}
+        promoted = _prescreen(space, limit, keep, report, tally)
+        indices = [c.config.index for c in promoted]
+        assert len(indices) == n
+        assert indices[:5] == head
+        assert _sha(indices) == indices_sha
+        assert _sha([c.score for c in promoted]) == scores_sha
+        assert tally == disqualified
+        assert report.content() == dict(
+            zip(("entered", "evaluated", "disqualified", "promoted"), counts),
+            name="predict",
+        )
+
+    @pytest.mark.parametrize("name", sorted(RUNG0_PINS))
+    def test_matches_scalar_prescreen(self, name):
+        self._check(name)
+
+    @pytest.mark.parametrize("name", ["chemistries", "link_budget", "limit"])
+    def test_block_size_does_not_matter(self, name, monkeypatch):
+        # Many small blocks: survivors merge across block boundaries.
+        monkeypatch.setattr(halving, "_BLOCK", 97)
+        self._check(name)
 
 
 class TestExploreEndToEnd:

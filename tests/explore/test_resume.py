@@ -241,7 +241,19 @@ class TestCursorValidation:
             explore(
                 small_space(), keep=(9, 4, 2), resume=cursor
             )
-        with pytest.raises(ConfigurationError, match="guided|mode"):
-            explore(
-                small_space(), keep=KEEP, guided=True, resume=cursor
-            )
+
+    def test_version_one_cursor_rejected(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        registry = RunRegistry(tmp_path / "runs.sqlite")
+        explore(
+            small_space(),
+            keep=KEEP,
+            registry=registry,
+            chunk_size=CHUNK,
+        )
+        cursor = registry.latest_explore_cursor().cursor
+        assert cursor["version"] == 2
+        old = dict(cursor, version=1, mode="full", sampler=None)
+        with pytest.raises(ConfigurationError, match="without --resume"):
+            explore(small_space(), keep=KEEP, resume=old)

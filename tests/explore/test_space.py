@@ -8,7 +8,14 @@ from repro.core.policies import (
     SlowestFeasiblePolicy,
 )
 from repro.errors import ConfigurationError
-from repro.explore import AXES, Axis, ConfigBattery, SpaceSpec, default_space
+from repro.explore import (
+    AXES,
+    Axis,
+    ConfigBattery,
+    SpaceSpec,
+    default_space,
+    explore,
+)
 from repro.hw.battery import KiBaM
 from repro.hw.battery.linear import LinearBattery
 from repro.hw.battery.peukert import PeukertBattery
@@ -138,6 +145,17 @@ class TestEnumeration:
     def test_limit_one(self):
         space = SpaceSpec(axes=(Axis.grid("capacity_mah", 100.0, 1000.0, 10),))
         assert [c.index for c in space.configs(limit=1)] == [0]
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        space = default_space(bandwidth_points=2, capacity_points=2, io_points=2)
+        assert space.size() == 576
+        with pytest.raises(ConfigurationError, match="limit"):
+            space.configs(limit=limit)
+        with pytest.raises(ConfigurationError, match="limit"):
+            space.indices(limit)
+        with pytest.raises(ConfigurationError, match="limit"):
+            explore(space, limit=limit)
 
     def test_limit_larger_than_space_is_noop(self):
         space = SpaceSpec(axes=(Axis.grid("capacity_mah", 100.0, 1000.0, 5),))

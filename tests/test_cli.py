@@ -465,27 +465,22 @@ class TestExplore:
         assert code == 1
         assert "empty frontier" in capsys.readouterr().out
 
-    def test_guided_matches_exhaustive_export(self, tmp_path, capsys):
-        import json
-
-        args = [
-            "explore", "--bandwidth-points", "2", "--capacity-points", "1",
-            "--io-points", "2", "--keep", "8", "2", "1",
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_exits_two(self, tmp_path, capsys, limit):
+        code = main([
+            "explore", "--bandwidth-points", "1", "--capacity-points", "1",
+            "--io-points", "1", "--keep", "4", "2", "1", "--limit", limit,
             "--no-cache", "--no-registry",
-        ]
-        exhaustive = tmp_path / "exhaustive.json"
-        guided = tmp_path / "guided.json"
-        assert main(args + ["--export", str(exhaustive)]) == 0
-        assert main(args + ["--guided", "--export", str(guided)]) == 0
-        out = capsys.readouterr().out
-        assert "guided sampler: probed" in out
-        a = json.loads(exhaustive.read_text())
-        b = json.loads(guided.read_text())
-        assert json.dumps(a["frontier"], sort_keys=True) == json.dumps(
-            b["frontier"], sort_keys=True
-        )
-        assert b["sampler"]["probed"] >= 1
-        assert a["sampler"] is None
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "limit must be >= 1" in captured.err
+        assert "exploring" not in captured.out
+
+    def test_guided_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--guided"])
+        assert excinfo.value.code == 2
 
     def test_resume_latest_round_trip(self, tmp_path, capsys):
         import json
