@@ -20,7 +20,6 @@ Exposes the reproduction as a set of subcommands::
     python -m repro check --paper      # assert the Fig. 10 ordering
     python -m repro check --fleet      # fleet health from the exec journal
     python -m repro top                # attach to a running sweep (live)
-    python -m repro bench diff         # perf gate over BENCH_substrate.json
     python -m repro report -o out.md   # everything into one document
     python -m repro calibrate          # re-run the model calibration
     python -m repro profile --frames 8 # time the real ATR blocks (Fig. 6)
@@ -1272,47 +1271,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Perf-regression gate over the benchmark document."""
-    import json
-
-    from repro.obs.benchdiff import (
-        baseline_from_history,
-        bench_diff,
-        load_bench,
-        render_diff,
-    )
-
-    if args.bench_command != "diff":
-        print(f"unknown bench subcommand {args.bench_command!r}",
-              file=sys.stderr)
-        return 2
-    try:
-        current = load_bench(args.bench)
-        baseline = load_bench(args.baseline) if args.baseline else None
-    except OSError as exc:
-        print(f"cannot read bench document: {exc}", file=sys.stderr)
-        return 2
-    if args.baseline:
-        origin = args.baseline
-    else:
-        baseline = baseline_from_history(current)
-        origin = "embedded history[-1]"
-        if baseline is None:
-            print(f"{args.bench} has no embedded history to diff against "
-                  "(pass --baseline)", file=sys.stderr)
-            return 2
-    rows = bench_diff(current, baseline, threshold_pct=args.threshold)
-    regressions = sum(1 for r in rows if r["regression"])
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        print(f"bench diff: {args.bench} vs {origin} "
-              f"(threshold {args.threshold:g}%)")
-        print(render_diff(rows, only_directional=not args.all))
-    return 1 if regressions else 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -1731,33 +1689,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refresh period in seconds (default 0.5)")
     add_registry(p_top)
     p_top.set_defaults(func=_cmd_top, no_registry=False)
-
-    p_bench = sub.add_parser(
-        "bench", help="perf-regression gates over BENCH_substrate.json"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    pb_diff = bench_sub.add_parser(
-        "diff",
-        help="diff the bench document against a baseline; exit nonzero "
-             "on any per-section regression past the threshold",
-    )
-    pb_diff.add_argument("--bench", default="BENCH_substrate.json",
-                         metavar="PATH",
-                         help="bench document (default BENCH_substrate.json)")
-    pb_diff.add_argument("--baseline", metavar="PATH",
-                         help="baseline bench JSON (default: the "
-                              "document's own most recent history entry)")
-    pb_diff.add_argument("--threshold", type=float, default=50.0,
-                         metavar="PCT",
-                         help="regression threshold in percent "
-                              "(default 50; bench numbers are noisy "
-                              "across machines)")
-    pb_diff.add_argument("--json", action="store_true",
-                         help="emit diff rows as JSON")
-    pb_diff.add_argument("--all", action="store_true",
-                         help="include directionless (info-only) metrics "
-                              "in the table")
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

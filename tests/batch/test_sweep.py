@@ -113,6 +113,8 @@ class TestExecutorWiring:
         assert first.stats.executed == 4 and first.stats.cache_hits == 0
         replay = batch_sweep(self.SPEC, cache=cache, chunk_size=4)
         assert replay.stats.executed == 0 and replay.stats.cache_hits == 4
+        for stats in (first.stats, replay.stats):
+            assert (stats.epochs, stats.root_solves) == (211, 272)
         assert replay.outcomes == first.outcomes
         assert replay.cycles == first.cycles
 

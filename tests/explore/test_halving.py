@@ -42,6 +42,11 @@ def _sha(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
+def _rung_work(result) -> list[tuple[int, int]]:
+    """Per-rung (executed, cache_hits): deterministic, so pinned."""
+    return [(r.executed, r.cache_hits) for r in result.rungs]
+
+
 #: Rung-0 outputs captured from the per-config scalar prescreen that the
 #: block-vectorized one replaced: (space, limit, keep) -> promoted count,
 #: first indices, SHA-256 of repr() of the promoted indices and of their
@@ -209,13 +214,21 @@ class TestDeterminism:
         assert blob(cold) == blob(parallel)
         assert blob(cold) == blob(replay)
 
+        assert _rung_work(cold) == [(120, 0), (1, 0), (4, 0), (2, 0)]
         # The replay actually replayed: nothing past rung 0 executed.
-        assert sum(r.executed for r in replay.rungs[1:]) == 0
-        assert sum(r.cache_hits for r in replay.rungs[1:]) > 0
+        assert _rung_work(replay) == [(120, 0), (0, 1), (0, 4), (0, 2)]
 
         # And the registry contents are byte-identical cold vs replay.
         assert reg_a.dump_rows() == reg_b.dump_rows()
         assert reg_a.dump_explore_rows() == reg_b.dump_explore_rows()
+
+    def test_default_grid_rung_work_pinned(self, tmp_path):
+        space = default_space(bandwidth_points=2, capacity_points=1, io_points=2)
+        cache = ResultCache(tmp_path / "cache")
+        cold = explore(space, keep=(8, 2, 1), cache=cache)
+        replay = explore(space, keep=(8, 2, 1), cache=cache)
+        assert _rung_work(cold) == [(288, 0), (1, 0), (2, 0), (1, 0)]
+        assert _rung_work(replay) == [(288, 0), (0, 1), (0, 2), (0, 1)]
 
     def test_limit_subsample_deterministic(self):
         space = small_space()

@@ -1,62 +1,15 @@
-"""Null-sink overhead: disabled telemetry must be near-free.
+"""Null sink: disabled telemetry records no events but keeps metrics live.
 
-The acceptance bar is <5% wall-time overhead on a short Fig. 10
-experiment. Timing comparisons on shared CI machines are noisy, so the
-test takes best-of-N for both variants (best-of is robust against
-one-sided scheduling noise) and asserts against a slightly looser bound
-than the headline number to keep the test deterministic in practice.
+Its cost is gated in ``tests/sim/test_work_counters.py``, as a ratio of
+Python calls over the plain run's.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
 from repro.obs import Telemetry
 
 from tests.conftest import tiny_battery_factory
-
-_FRAMES = 40
-_REPEATS = 3
-
-
-def _best_of(fn, repeats=_REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_null_sink_overhead_under_5_percent():
-    spec = PAPER_EXPERIMENTS["2A"]
-
-    def plain():
-        run_experiment(
-            spec, battery_factory=tiny_battery_factory, max_frames=_FRAMES
-        )
-
-    def null_sink():
-        # Telemetry wired through every emitter, but the event bus is a
-        # null sink: each emit site costs one falsy branch.
-        run_experiment(
-            spec,
-            battery_factory=tiny_battery_factory,
-            max_frames=_FRAMES,
-            telemetry=Telemetry(events=False),
-        )
-
-    _best_of(plain, 1)  # warm imports and code paths
-    base = _best_of(plain)
-    instrumented = _best_of(null_sink)
-    # <5% is the acceptance target on quiet machines; allow scheduling
-    # noise up to 15% before calling it a regression (the bus itself
-    # adds only branch checks, far below either bound).
-    assert instrumented <= base * 1.15, (
-        f"null-sink telemetry cost {instrumented / base - 1:.1%} "
-        f"(baseline {base * 1e3:.1f} ms, instrumented {instrumented * 1e3:.1f} ms)"
-    )
 
 
 def test_null_sink_produces_no_events_but_live_metrics():

@@ -7,9 +7,9 @@ the one the engine promises — identical frame counts, lifetimes within
 gating rules (stochastic timing never jumps, tracing refuses fast
 mode) and the cache/registry aliasing guarantees. A table over policy
 x cut x rotation period holds fast mode to exact frames and lifetimes
-within 1e-9 on a small cell, and full-scale 2C's jump counters are
-pinned. The full-scale eight-experiment identity run is tier2
-(``-m tier2``).
+within 1e-9 on a small cell, and the jump counters are pinned for
+each pipelined paper spec on the tiny battery and for full-scale 2C.
+The full-scale eight-experiment identity run is tier2 (``-m tier2``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,16 @@ from repro.hw.link import TransactionTiming
 from tests.conftest import tiny_battery_factory
 
 TINY = dict(battery_factory=tiny_battery_factory)
+
+#: label -> (ff_jumps, ff_frames_skipped) of a fast run on the tiny battery
+FF_COUNTERS = {
+    "1": (1, 90),
+    "1A": (1, 106),
+    "2": (1, 152),
+    "2A": (1, 154),
+    "2B": (2, 183),
+    "2C": (2, 182),
+}
 
 
 def _pair(label: str, **kwargs):
@@ -88,10 +98,12 @@ class TestNoIOEquivalence:
 class TestPipelineEquivalence:
     """Pipelined runs: detection, jump, re-sync through every §5 variant."""
 
-    @pytest.mark.parametrize("label", ["1", "1A", "2", "2A", "2B", "2C"])
+    @pytest.mark.parametrize("label", sorted(FF_COUNTERS))
     def test_frames_identical_and_lifetime_close(self, label):
         exact, fast = _pair(label)
         assert fast.frames == exact.frames
+        pipeline = fast.pipeline
+        assert (pipeline.ff_jumps, pipeline.ff_frames_skipped) == FF_COUNTERS[label]
         assert _rel(fast.t_hours, exact.t_hours) < 1e-3
         for name, t_exact in exact.death_times_s.items():
             assert _rel(fast.death_times_s[name], t_exact) < 1e-3

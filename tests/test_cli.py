@@ -27,6 +27,12 @@ class TestParser:
             )
             assert args.command == cmd
 
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "diff"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestFigures:
     @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8"])
